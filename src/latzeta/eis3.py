@@ -15,12 +15,13 @@ across quadrature nodes; sums report an honest convergence estimate (the
 difference between the full partial sum and the half-height partial sum)
 instead of pretending to an absolute tolerance.
 
-The three-product maximal-parabolic constant terms pair up the six-term
-orbit sum, so their rank-2 constant terms reproduce it exactly; a
-unipotent-average evaluator checks them numerically.  The five-product
-minimal-parabolic expression is kept as a fixed formula and adjudicated by
-the same average; the five-equation symmetry report does the same for the
-parameter substitutions.  Neither asserts which side is right.
+Every constant term is read off one table: the six Weyl images of (s, t)
+and the three roots whose xi product is completion_factor.  The
+minimal-parabolic constant term is the sum over the orbit; each
+maximal-parabolic one groups the orbit in pairs through the completed
+rank-2 series (constant terms in stages).  A unipotent-average evaluator
+checks them numerically, and the substitution report states how far the
+orbit sum moves under each of the five non-identity Weyl maps.
 """
 
 from __future__ import annotations
@@ -294,12 +295,11 @@ def _coset_table(
         np.concatenate(w_blocks),
         np.concatenate(h_blocks),
     )
-    if count <= _CACHE_PAIR_CAP:
-        _TABLE_CACHE[height] = table
-        held = sum(len(t[0]) for t in _TABLE_CACHE.values())
-        while held > _CACHE_PAIR_CAP and len(_TABLE_CACHE) > 1:
-            _, evicted = _TABLE_CACHE.popitem(last=False)
-            held -= len(evicted[0])
+    _TABLE_CACHE[height] = table
+    held = sum(len(t[0]) for t in _TABLE_CACHE.values())
+    while held > _CACHE_PAIR_CAP and len(_TABLE_CACHE) > 1:
+        _, evicted = _TABLE_CACHE.popitem(last=False)
+        held -= len(evicted[0])
     return table
 
 
@@ -380,17 +380,52 @@ def sl3_eisenstein_direct(
     return SeriesValue(total, abs(total - total_half), len(table[0]))
 
 
+# --- Weyl orbit --------------------------------------------------------------
+
+# An affine form (a, b, c) stands for a s + b t + c.  Each Weyl row is a name
+# and the two forms (a, b, c, d, e, f) giving the image (s', t').
+_WEYL: tuple[tuple[str, tuple[Fraction, ...]], ...] = (
+    ("id", (Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(1), Fraction(0))),
+    ("i", (Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(-1), Fraction(1))),
+    ("ii", (Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(3, 2), Fraction(1, 2), Fraction(-1, 2))),
+    ("iii", (Fraction(-1, 2), Fraction(-1, 2), Fraction(1), Fraction(-3, 2), Fraction(1, 2), Fraction(1))),
+    ("iv", (Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(-3, 2), Fraction(-1, 2), Fraction(3, 2))),
+    ("v", (Fraction(-1, 2), Fraction(-1, 2), Fraction(1), Fraction(3, 2), Fraction(-1, 2), Fraction(0))),
+)
+_FE_SUBSTITUTIONS = _WEYL[1:]
+
+# the roots 2t, 3s - t and 3s + t - 1; xi over all three is completion_factor
+_ROOTS = ((0, 2, 0), (3, -1, 0), (3, 1, -1))
+
+# maximal parabolic i: the Levi root, the y_i-power as an affine form, and
+# Weyl representatives of the cosets of the Levi's Weyl group
+_MAXIMAL = {
+    1: (0, (1, 0, 0), ("id", "ii", "v")),
+    2: (1, (Fraction(-1, 2), Fraction(-1, 2), 0), ("id", "iv", "i")),
+}
+
+
+def _affine(form, s: complex, t: complex) -> complex:
+    a, b, c = (float(q) for q in form)
+    return a * s + b * t + c
+
+
+def _fe_image(coeffs, s: complex, t: complex) -> tuple[complex, complex]:
+    return _affine(coeffs[:3], s, t), _affine(coeffs[3:], s, t)
+
+
+def _weyl_orbit(s: complex, t: complex) -> dict[str, tuple[complex, complex]]:
+    return {name: _fe_image(coeffs, s, t) for name, coeffs in _WEYL}
+
+
 def completion_factor(
     s: complex, t: complex, config: NumericsConfig = DEFAULT_CONFIG
 ) -> complex:
     """xi(2t) xi(3s-t) xi(3s+t-1); the scalar turning E0 into its completion."""
     s = complex(s)
     t = complex(t)
-    return (
-        xi_completed(2.0 * t, config)
-        * xi_completed(3.0 * s - t, config)
-        * xi_completed(3.0 * s + t - 1.0, config)
-    )
+    a, b, c = (xi_completed(_affine(form, s, t), config) for form in _ROOTS)
+    return a * b * c
 
 
 def sl3_completed(
@@ -412,27 +447,16 @@ def sl3_completed(
 def constant_term_p0_formula(
     Y: SL3Point, s: complex, t: complex, config: NumericsConfig = DEFAULT_CONFIG
 ) -> complex:
-    """Five-product closed expression for the minimal-parabolic constant term.
+    """Minimal-parabolic constant term of the completed series.
 
-    Evaluated in index-1 coordinates (y, u) as a fixed five-term formula;
-    the sixth product that a full orbit would suggest is deliberately not
-    added (see the adjudication helpers).
+    The sum over the six Weyl images (s', t') of completion_factor(s', t')
+    y^s' u^t', in index-1 coordinates (y, u) (Langlands, LNM 544; Bump,
+    LNM 1083).
     """
-    s = complex(s)
-    t = complex(t)
     c = coords(Y, 1)
-    y, u = c.y, c.z.y
-    xi = lambda a: xi_completed(a, config)  # noqa: E731
-
-    def term(f1, f2, f3, ey, eu):
-        return xi(f1) * xi(f2) * xi(f3) * pow_pos(y, ey) * pow_pos(u, eu)
-
-    return (
-        term(2 * t, 3 * s - t, 3 * s + t - 1, s, t)
-        + term(2 * t, 3 * s - t - 1, 3 * s + t - 1, s, 1 - t)
-        + term(2 * t - 1, 3 * s - t - 1, 3 * s + t - 2, (1 - s - t) / 2, (2 - 3 * s + t) / 2)
-        + term(2 * t, 3 * s - t - 1, 3 * s + t - 1, (1 - s - t) / 2, (3 - 3 * s - t) / 2)
-        + term(2 * t - 1, 3 * s - t, 3 * s + t - 2, (2 - s - t) / 2, (3 * s - t) / 2)
+    return sum(
+        completion_factor(si, ti, config) * pow_pos(c.y, si) * pow_pos(c.z.y, ti)
+        for si, ti in _weyl_orbit(complex(s), complex(t)).values()
     )
 
 
@@ -443,63 +467,32 @@ def constant_term_pi_formula(
     i: int,
     config: NumericsConfig = DEFAULT_CONFIG,
 ) -> complex:
-    """Three-product expression for the index-i maximal-parabolic constant term.
+    """Constant term along the index-i maximal parabolic.
 
-    Each product couples a power of y_i with a completed rank-2 series at
-    z_i; the rank-2 values come from the Fourier evaluator so the guard
-    behavior matches it.  The products pair up the six orbit terms of
-    _p0_orbit_terms whose u-powers are tau and 1 - tau: (id, i), (ii, iv),
-    (iii, v) for index 1 and (id, ii), (iii, iv), (i, v) for index 2.  So the
-    rank-2 constant term of this expression is exactly the six-term
-    minimal-parabolic constant term (Langlands' compatibility of constant
-    terms along P0 inside P_i).
+    One product per coset representative (s', t') of the Levi's Weyl group:
+    xi at the two non-Levi roots of (s', t'), times a power of y_i, times the
+    completed rank-2 series at z_i with parameter half the Levi root.  The
+    rank-2 values come from the Fourier evaluator, so the guard behavior
+    matches it.  The rank-2 constant term of each product is the pair of
+    orbit terms of (s', t') and its Levi reflection, so the constant term of
+    this expression is the minimal-parabolic one (constant terms in stages).
     """
     from .eis2 import eisenstein_fourier
 
-    s = complex(s)
-    t = complex(t)
     c = coords(Y, i)
-    y = c.y
-    xi = lambda a: xi_completed(a, config)  # noqa: E731
-    ehat = lambda tau: eisenstein_fourier(c.z, tau, config)  # noqa: E731
-    if i == 1:
-        return (
-            xi(3 * s - t) * xi(3 * s + t - 1) * pow_pos(y, s) * ehat(t)
-            + xi(2 * t) * xi(3 * s - t - 1) * pow_pos(y, (1 - s + t) / 2) * ehat((3 * s + t - 1) / 2)
-            + xi(2 * t - 1) * xi(3 * s + t - 2) * pow_pos(y, (2 - s - t) / 2) * ehat((3 * s - t) / 2)
+    levi, y_form, reps = _MAXIMAL[i]
+    orbit = _weyl_orbit(complex(s), complex(t))
+    total = 0.0 + 0.0j
+    for name in reps:
+        si, ti = orbit[name]
+        roots = [_affine(form, si, ti) for form in _ROOTS]
+        a, b = (xi_completed(r, config) for k, r in enumerate(roots) if k != levi)
+        total += (
+            a * b
+            * pow_pos(c.y, _affine(y_form, si, ti))
+            * eisenstein_fourier(c.z, roots[levi] / 2.0, config)
         )
-    return (
-        xi(2 * t) * xi(3 * s + t - 1) * pow_pos(y, -(s + t) / 2) * ehat((3 * s - t) / 2)
-        + xi(3 * s + t - 2) * xi(3 * s - t - 1) * pow_pos(y, s - 1) * ehat(t)
-        + xi(2 * t - 1) * xi(3 * s - t) * pow_pos(y, -(1 + s - t) / 2) * ehat((3 * s + t - 1) / 2)
-    )
-
-
-def _p0_orbit_terms(
-    Y: SL3Point, s: complex, t: complex, config: NumericsConfig = DEFAULT_CONFIG
-) -> list[tuple[str, complex]]:
-    """Reference set for labeling structured residuals of the five-product form.
-
-    The five parameter substitutions together with the identity close into a
-    six-element group, so any expression satisfying all five symmetries and
-    carrying one product per parameter pair must be the sum over the orbit of
-    completion_factor(s', t') y^s' u^t'.  These six terms are that sum; they
-    are adjudication tooling, not a claim about the five-product expression.
-    """
-    s = complex(s)
-    t = complex(t)
-    c = coords(Y, 1)
-    y, u = c.y, c.z.y
-    images = [("id", (s, t))] + [
-        (name, _fe_image(coeffs, s, t)) for name, coeffs in _FE_SUBSTITUTIONS
-    ]
-    return [
-        (
-            name,
-            completion_factor(si, ti, config) * pow_pos(y, si) * pow_pos(u, ti),
-        )
-        for name, (si, ti) in images
-    ]
+    return total
 
 
 _UNIPOTENT_SLOTS = {
@@ -553,21 +546,6 @@ def constant_term_numeric(
 
 # --- functional-equation report --------------------------------------------
 
-_FE_SUBSTITUTIONS: tuple[tuple[str, tuple[Fraction, ...]], ...] = (
-    # each row: name, (a, b, c, d, e, f) with image (a s + b t + c, d s + e t + f)
-    ("i", (Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(-1), Fraction(1))),
-    ("ii", (Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(3, 2), Fraction(1, 2), Fraction(-1, 2))),
-    ("iii", (Fraction(-1, 2), Fraction(-1, 2), Fraction(1), Fraction(-3, 2), Fraction(1, 2), Fraction(1))),
-    ("iv", (Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(-3, 2), Fraction(-1, 2), Fraction(3, 2))),
-    ("v", (Fraction(-1, 2), Fraction(-1, 2), Fraction(1), Fraction(3, 2), Fraction(-1, 2), Fraction(0))),
-)
-
-
-def _fe_image(coeffs, s: complex, t: complex) -> tuple[complex, complex]:
-    a, b, c, d, e, f = (float(q) for q in coeffs)
-    return a * s + b * t + c, d * s + e * t + f
-
-
 def _cpair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
@@ -580,11 +558,10 @@ def fe_adjudicate(
 ) -> dict:
     """Deviation report for the five parameter substitutions.
 
-    Evaluates the five-product constant-term expression at (s, t) and at each
-    substituted pair; records per-equation absolute deviations.  Guard-disk
-    hits on a substituted pair are recorded in that entry, never raised.  The
-    report states deviations; it does not decide whether the expression or
-    the substitutions are at fault.
+    Evaluates the minimal-parabolic constant term at (s, t) and at each
+    substituted pair; records per-equation absolute deviations, which are
+    rounding-sized because the orbit sum is Weyl-invariant.  Guard-disk hits
+    on a substituted pair are recorded in that entry, never raised.
     """
     s = complex(s)
     t = complex(t)

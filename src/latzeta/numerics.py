@@ -258,7 +258,9 @@ def _k_bessel_many(
     for _ in range(config.quadrature_depth):
         n *= 2
         cur = _k_trapezoid(nu, ys, n, upper)
-        if float(np.max(np.abs(cur - prev))) < config.abs_tol / 10.0:
+        # relative to |K| where |K| > 1: rounding alone exceeds abs_tol there
+        change = np.abs(cur - prev) / np.maximum(1.0, np.abs(cur))
+        if float(np.max(change)) < config.abs_tol / 10.0:
             return cur
         prev = cur
     raise QuadratureBudget(f"K-Bessel quadrature did not stabilize at nu = {nu}")

@@ -178,14 +178,20 @@ def _candidate_sublattices(
 def _rank2_in_rank4(
     L: Lattice, lines: list[tuple[int, ...]], config: NumericsConfig
 ) -> list[tuple[IntRows, Fraction]]:
-    # lower bound on the best rank-2 degree: pairs of Hermite-ball vectors,
-    # falling back on the first two coordinate axes
+    # lower bound on the best rank-2 degree: pairs of Hermite-ball vectors
+    # and the first two coordinate axes
     norms = {v: _sub_gram_det(L, (v,)) for v in lines}
     lam1_sq = min(float(q) for q in norms.values())
+    seeds = lines
+    if len(lines) < 2:
+        # Minkowski second theorem with gamma_4^4 = 4: lambda_1^2 lambda_2^6
+        # <= 4 det G, so this ball holds two independent vectors
+        ball = (4.0 * float(L.gram_det()) / lam1_sq) ** (1.0 / 3.0)
+        seeds = _primitive_lines(L, ball, config)
     seed_rows: list[IntRows] = [((1, 0, 0, 0), (0, 1, 0, 0))]
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            seed_rows.append((lines[i], lines[j]))
+    for i in range(len(seeds)):
+        for j in range(i + 1, len(seeds)):
+            seed_rows.append((seeds[i], seeds[j]))
     best_det = None
     for rows in seed_rows:
         d = _sub_gram_det(L, rows)

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import ContourFailure, ConvergenceRegion, QuadratureBudget
+from .errors import ContourFailure, ConvergenceRegion, LatzetaError, QuadratureBudget
 from .eis2 import closed_form_IT, geo_truncated_integral_numeric
 from .numerics import DEFAULT_CONFIG, NumericsConfig
 
@@ -109,7 +109,7 @@ def residue_at(f, s0: complex, config: NumericsConfig = DEFAULT_CONFIG) -> compl
         w = radius * cmath.exp(2j * math.pi * k / n_nodes)
         try:
             acc += f(s0 + w) * w
-        except Exception as exc:
+        except (LatzetaError, ArithmeticError, ValueError) as exc:
             raise ContourFailure(
                 f"evaluation failed at contour node {s0 + w}: {exc}"
             ) from exc

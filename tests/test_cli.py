@@ -188,7 +188,7 @@ class TestEis3Commands:
         assert run(["eis3", "constant", "--s", "3", "--t", "2", "--parabolic", "P0", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "raw_average" not in payload
-        assert payload["formula"] == pytest.approx(0.0032898013, rel=1e-6)
+        assert payload["formula"] == pytest.approx(0.0041264551, rel=1e-6)
 
 
 class TestTannakaCommands:

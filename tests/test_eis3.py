@@ -1,26 +1,31 @@
 """Tests for the rank-3 Eisenstein machinery.
 
-The constant-term comparisons check the closed expressions against unipotent
-averages of the coset sum.  The three-product maximal-parabolic expressions
-are also checked exactly: their rank-2 constant terms must reproduce the
-six-term orbit sum, which needs no quadrature.  The five-product expression's
-deviation from the average is regression-locked rather than patched.
+The constant-term comparisons check the Weyl-orbit expressions against
+unipotent averages of the coset sum.  The maximal-parabolic expressions are
+also checked exactly: their rank-2 constant terms must reproduce the
+six-term orbit sum, which needs no quadrature.  The orbit sum itself is
+checked for invariance under the five substitutions at random points.
 """
 
 import json
 import math
 import random
+from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from latzeta.eis3 import (
     _FE_SUBSTITUTIONS,
+    _ROOTS,
+    _affine,
+    _coset_table,
     _fe_image,
-    _p0_orbit_terms,
     _recompose,
+    _weyl_orbit,
     SL3Point,
     apply_gl3,
     completion_factor,
@@ -33,7 +38,7 @@ from latzeta.eis3 import (
     sl3_completed,
     sl3_eisenstein_direct,
 )
-from latzeta import eis2
+from latzeta import eis2, eis3
 from latzeta.errors import ConvergenceRegion, EnumerationOverflow, PoleProximity
 from latzeta.numerics import NumericsConfig
 
@@ -41,6 +46,13 @@ BIG = NumericsConfig(vector_budget=200_000_000)
 DATA = Path(__file__).parent / "data"
 
 IDENTITY = SL3Point(1.0, 1.0, 0.0, 0.0, 0.0)
+
+_UNIT = st.floats(-1.0, 1.0)
+POINTS = st.builds(
+    lambda a, b, x1, x2, x3: SL3Point(math.exp(a), math.exp(b), x1, x2, x3),
+    _UNIT, _UNIT, _UNIT, _UNIT, _UNIT,
+)
+PARAMS = st.builds(complex, st.floats(-1.0, 3.0), st.floats(-2.0, 2.0))
 
 
 def rand_point(rng, spread=0.5):
@@ -74,12 +86,12 @@ def _close(a, b, rel):
 
 
 def lock_anchor(name, payload, rel=1e-9):
-    """First run writes the anchor; later runs must reproduce it."""
+    """Later runs must reproduce the anchor; a missing one is written and fails."""
     path = DATA / name
     if not path.exists():
         DATA.mkdir(exist_ok=True)
         path.write_text(json.dumps(payload, indent=1, sort_keys=True))
-        return
+        pytest.fail(f"regression anchor {name} was missing and has been created")
     stored = json.loads(path.read_text())
     assert _close(stored, payload, rel), f"regression anchor {name} drifted"
 
@@ -203,6 +215,15 @@ class TestDirect:
         assert comp.estimate == abs(factor) * raw.estimate
         assert complex(comp).real > 0.0
 
+    def test_every_table_is_cached(self, monkeypatch):
+        # the height-6 table holds 11,004 pairs, more than the cache cap
+        monkeypatch.setattr(eis3, "_TABLE_CACHE", OrderedDict())
+        monkeypatch.setattr(eis3, "_CACHE_PAIR_CAP", 10_000)
+        first = _coset_table(6, BIG)
+        second = _coset_table(6, BIG)
+        assert len(first[0]) == 11_004
+        assert all(a is b for a, b in zip(first, second))
+
     def test_heights_30_vs_60_stable(self):
         a = complex(sl3_eisenstein_direct(IDENTITY, 3.0, 2.0, 30, BIG))
         b = complex(sl3_eisenstein_direct(IDENTITY, 3.0, 2.0, 60, BIG))
@@ -240,7 +261,7 @@ class TestConstantTerms:
             eis2, "eisenstein_fourier", lambda z, tau, config: eis2._a0(z.y, tau, config)
         )
         staged = constant_term_pi_formula(y, s, t, i, BIG)
-        orbit = sum(v for _, v in _p0_orbit_terms(y, s, t, BIG))
+        orbit = constant_term_p0_formula(y, s, t, BIG)
         assert abs(staged - orbit) <= 1e-12 * abs(orbit)
 
     def test_numeric_average_matches_orbit_reference_p1(self):
@@ -265,7 +286,7 @@ class TestConstantTerms:
 
     def test_p0_average_approaches_orbit_reference(self):
         xiprod = completion_factor(3.0, 2.0)
-        orbit = sum(v for _, v in _p0_orbit_terms(IDENTITY, 3.0, 2.0, BIG))
+        orbit = constant_term_p0_formula(IDENTITY, 3.0, 2.0, BIG)
         devs = []
         for h in (8, 12):
             numeric = xiprod * constant_term_numeric(IDENTITY, 3.0, 2.0, "P0", h, BIG)
@@ -297,16 +318,10 @@ class TestConstantTerms:
     def test_p0_formula_deviation_locked(self):
         xiprod = completion_factor(3.0, 2.0)
         numeric = xiprod * constant_term_numeric(IDENTITY, 3.0, 2.0, "P0", 12, BIG)
+        # the minimal-parabolic expression is the orbit sum, so the anchor's
+        # formula and orbit fields agree
         formula = constant_term_p0_formula(IDENTITY, 3.0, 2.0, BIG)
-        terms = _p0_orbit_terms(IDENTITY, 3.0, 2.0, BIG)
-        orbit = sum(v for _, v in terms)
-        residual = numeric - formula
-        # label the residual against single orbit terms (missing-term check)
-        labels = [
-            name
-            for name, val in terms
-            if abs(residual - val) < 0.5 * abs(residual)
-        ]
+        orbit = formula
         payload = {
             "s": 3.0,
             "t": 2.0,
@@ -316,9 +331,9 @@ class TestConstantTerms:
             "formula_rel_dev": abs(numeric - formula) / abs(formula),
             "orbit": [orbit.real, orbit.imag],
             "orbit_rel_dev": abs(numeric - orbit) / abs(orbit),
-            "residual_labels": labels,
         }
         lock_anchor("sl3_p0_anchor.json", payload)
+        assert payload["formula_rel_dev"] < 5e-3
         assert payload["orbit_rel_dev"] < 5e-3
 
     def test_numeric_rejects_bad_parabolic(self):
@@ -348,14 +363,20 @@ class TestSubstitutions:
             for m2 in maps:
                 assert compose(m2, m1) in maps
 
-    def test_orbit_sum_satisfies_all_five_equations(self):
-        y = SL3Point(1.3, 0.8, 0.21, -0.35, 0.4)
-        s, t = 1.4, 0.6 + 0.2j
-        base = sum(v for _, v in _p0_orbit_terms(y, s, t, BIG))
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(y=POINTS, s=PARAMS, t=PARAMS)
+    def test_orbit_sum_satisfies_all_five_equations(self, y, s, t):
+        orbit = list(_weyl_orbit(s, t).values())
+        roots = [_affine(form, si, ti) for si, ti in orbit for form in _ROOTS]
+        assume(min(min(abs(r), abs(r - 1.0)) for r in roots) > 0.05)
+        base = constant_term_p0_formula(y, s, t, BIG)
         for _, coeffs in _FE_SUBSTITUTIONS:
             si, ti = _fe_image(coeffs, s, t)
-            image = sum(v for _, v in _p0_orbit_terms(y, si, ti, BIG))
-            assert abs(image - base) < 1e-12
+            # the image's own orbit is the orbit again: the maps form a group
+            for sj, tj in _weyl_orbit(si, ti).values():
+                assert min(abs(sj - sk) + abs(tj - tk) for sk, tk in orbit) < 1e-12
+            image = constant_term_p0_formula(y, si, ti, BIG)
+            assert abs(image - base) <= 1e-12 * abs(base)
 
 
 class TestFEAdjudicate:
@@ -383,6 +404,8 @@ class TestFEAdjudicate:
     def test_anchor_locked(self):
         rep = fe_adjudicate(1.4, 0.6 + 0.2j, IDENTITY, BIG)
         lock_anchor("sl3_fe_anchor.json", rep)
+        base = abs(complex(*rep["base_value"]))
+        assert all(e["abs_deviation"] < 1e-12 * base for e in rep["equations"])
 
 
 class TestRegions:

@@ -118,6 +118,15 @@ class TestKBessel:
         with pytest.raises(ValueError):
             k_bessel(0.5, 0.0)
 
+    @pytest.mark.parametrize(
+        "nu, y", [(2.0, 0.05), (2.5 + 1.0j, 0.08), (3.0 + 2.0j, 0.1), (2.2 + 0.4j, 0.12)]
+    )
+    def test_large_values_match_mpmath(self, nu, y):
+        # |K| in the hundreds to thousands, where rounding alone exceeds abs_tol
+        mpmath = pytest.importorskip("mpmath")
+        ref = complex(mpmath.besselk(nu, y))
+        assert abs(k_bessel(nu, y) - ref) <= 1e-12 * abs(ref)
+
 
 class TestSigma:
     def test_exact_negative_exponent(self):

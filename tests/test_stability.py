@@ -125,6 +125,31 @@ class TestCanonicalPolygon:
             assert all(abs(x - y) < 1e-10 for x, y in zip(a, b))
 
 
+class TestSkewRank4:
+    # one primitive line in the Hermite ball; seeding the rank-2 search from
+    # the coordinate axes alone gives a ball holding 13,803 primitive vectors
+    L = Lattice.from_basis(
+        [
+            [Fraction(3, 2), Fraction(1, 2), Fraction(-1, 3), Fraction(-4, 3)],
+            [0, Fraction(4, 3), Fraction(8, 3), 0],
+            [0, 0, Fraction(2, 3), Fraction(-4, 3)],
+            [Fraction(3, 2), Fraction(1, 2), -1, Fraction(3, 2)],
+        ]
+    )
+
+    def test_polygon_filtration_and_semistability_agree(self):
+        L = self.L
+        v = canonical_polygon(L).values
+        for k in range(1, 4):
+            assert v[k] >= (v[k - 1] + v[k + 1]) / 2 - 1e-12
+        steps = canonical_filtration(L).steps
+        for step in steps[:-1]:
+            k = len(step)
+            assert abs(_sub_degree(L, step) - k * degree(L) / 4 - v[k]) < 1e-10
+            assert v[k] > (v[k - 1] + v[k + 1]) / 2 + 1e-12
+        assert is_semistable(L) == (max(v) <= 1e-12)
+
+
 class TestCanonicalFiltration:
     def test_trivial_for_semistable(self):
         assert canonical_filtration(Z2).steps == (((1, 0), (0, 1)),)

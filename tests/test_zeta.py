@@ -86,6 +86,19 @@ class TestResidues:
         with pytest.raises(ContourFailure):
             residue_at(bad, 1.0)
 
+        def near_pole(_s):
+            raise PoleProximity("guard")
+
+        with pytest.raises(ContourFailure):
+            residue_at(near_pole, 1.0)
+
+    def test_programming_errors_propagate(self):
+        def broken(_s):
+            raise TypeError("not a contour failure")
+
+        with pytest.raises(TypeError):
+            residue_at(broken, 1.0)
+
 
 class TestVolume:
     def test_height_one_area(self):
