@@ -363,9 +363,11 @@ def sl3_eisenstein_direct(
 ) -> SeriesValue:
     """Partial coset sum up to the given height, with convergence estimate.
 
-    The estimate is |partial(height) - partial(height // 2)|; the honest
-    statement is that the value is converged to roughly that scale, not to
-    any preset tolerance.
+    The estimate is |partial(height) - partial(height // 2)|, a heuristic,
+    not a bound: at heights 6 to 10 it understated |E(Y) - E(gY)| by up to
+    19.8 times for points far from the fundamental domain (g a product of
+    three elementary matrices with entries in [-2, 2]); at heights 12 to 20
+    the difference stayed below 0.32 times the estimate.
     """
     s = complex(s)
     t = complex(t)

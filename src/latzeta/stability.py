@@ -263,17 +263,24 @@ def _hull_values(hull: list[tuple[float, float]], rank: int) -> tuple[float, ...
     return tuple(values)
 
 
-def canonical_polygon(L: Lattice, config: NumericsConfig = DEFAULT_CONFIG) -> Polygon:
+def _canonical_hull(
+    L: Lattice, cands: dict[int, list[tuple[IntRows, Fraction]]]
+) -> list[tuple[float, float]]:
+    # upper hull of (k, normalized degree of the best rank-k sublattice)
     r = L.rank
     deg = degree(L)
     pts: list[tuple[float, float]] = [(0.0, 0.0)]
-    cands = _candidate_sublattices(L, config)
     for k in range(1, r):
         if k in cands:
             d_min = min(d for _, d in cands[k])
             pts.append((float(k), -0.5 * _log_frac(d_min) - (k / r) * deg))
     pts.append((float(r), 0.0))
-    return Polygon(r, _hull_values(_upper_hull(pts), r))
+    return _upper_hull(pts)
+
+
+def canonical_polygon(L: Lattice, config: NumericsConfig = DEFAULT_CONFIG) -> Polygon:
+    hull = _canonical_hull(L, _candidate_sublattices(L, config))
+    return Polygon(L.rank, _hull_values(hull, L.rank))
 
 
 def canonical_filtration(L: Lattice, config: NumericsConfig = DEFAULT_CONFIG) -> Flag:
@@ -283,15 +290,8 @@ def canonical_filtration(L: Lattice, config: NumericsConfig = DEFAULT_CONFIG) ->
     full: IntRows = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
     if r == 1:
         return Flag((full,))
-    deg = degree(L)
     cands = _candidate_sublattices(L, config)
-    pts: list[tuple[float, float]] = [(0.0, 0.0)]
-    for k in range(1, r):
-        if k in cands:
-            d_min = min(d for _, d in cands[k])
-            pts.append((float(k), -0.5 * _log_frac(d_min) - (k / r) * deg))
-    pts.append((float(r), 0.0))
-    hull = _upper_hull(pts)
+    hull = _canonical_hull(L, cands)
     steps: list[IntRows] = []
     for x, _y in hull[1:-1]:
         k = int(round(x))
@@ -311,7 +311,7 @@ def flag_polygon(L: Lattice, f: Flag, config: NumericsConfig = DEFAULT_CONFIG) -
         raise InvalidFlag("flag has no steps")
     prev_rank = 0
     prev_rows: IntRows | None = None
-    breakpoints: list[tuple[int, float]] = [(0, 0.0)]
+    breakpoints: list[tuple[float, float]] = [(0, 0.0)]
     deg = degree(L)
     for step in f.steps:
         rows = [list(row) for row in step]
@@ -334,18 +334,7 @@ def flag_polygon(L: Lattice, f: Flag, config: NumericsConfig = DEFAULT_CONFIG) -
         [int(i == j) for j in range(r)] for i in range(r)
     ]:
         raise InvalidFlag("last step must generate the full lattice")
-    values = []
-    for k in range(r + 1):
-        for (x0, y0), (x1, y1) in zip(breakpoints, breakpoints[1:]):
-            if x0 <= k <= x1:
-                frac = 0.0 if x1 == x0 else (k - x0) / (x1 - x0)
-                values.append(y0 * (1 - frac) + y1 * frac)
-                break
-        else:
-            values.append(0.0)
-    values[0] = 0.0
-    values[r] = 0.0
-    return Polygon(r, tuple(values))
+    return Polygon(r, _hull_values(breakpoints, r))
 
 
 def truncation_indicator(

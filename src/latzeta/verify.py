@@ -34,6 +34,7 @@ from .eis3 import (
     coords,
     sl3_eisenstein_direct,
 )
+from .errors import SingularBasis
 from .jsonio import check_entry
 from .lattice import Lattice, degree, riemann_roch
 from .numerics import DEFAULT_CONFIG, NumericsConfig, xi_completed
@@ -67,7 +68,7 @@ def _random_lattice(rng, rank, span=3, denominators=(1, 2, 3)):
         ]
         try:
             return Lattice.from_basis(rows)
-        except Exception:
+        except SingularBasis:
             continue
 
 

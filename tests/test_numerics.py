@@ -9,7 +9,7 @@ import random
 import pytest
 
 import oracles
-from latzeta.errors import PoleProximity
+from latzeta.errors import PoleProximity, QuadratureBudget
 from latzeta.numerics import (
     DEFAULT_CONFIG,
     NumericsConfig,
@@ -95,6 +95,22 @@ class TestXi:
                 xi_completed(bad)
 
 
+def _k_grid() -> list[tuple[complex, float]]:
+    # Re nu, Im nu in [0, 5], y log-uniform in [0.05, 60], rounded for stable ids
+    rng = random.Random(20)
+    lo, hi = math.log(0.05), math.log(60.0)
+    return [
+        (
+            complex(round(rng.uniform(0, 5), 2), round(rng.uniform(0, 5), 2)),
+            round(math.exp(rng.uniform(lo, hi)), 4),
+        )
+        for _ in range(36)
+    ] + [(5 + 5j, 0.05), (5.0, 0.05), (5j, 0.05), (5 + 5j, 60.0)]
+
+
+_K_GRID = _k_grid()
+
+
 class TestKBessel:
     def test_half_order_closed_form(self):
         val = k_bessel(0.5, 2.0)
@@ -119,13 +135,21 @@ class TestKBessel:
             k_bessel(0.5, 0.0)
 
     @pytest.mark.parametrize(
-        "nu, y", [(2.0, 0.05), (2.5 + 1.0j, 0.08), (3.0 + 2.0j, 0.1), (2.2 + 0.4j, 0.12)]
+        "nu, y",
+        # |K| in the hundreds to thousands, where rounding alone exceeds abs_tol
+        [(2.0, 0.05), (2.5 + 1.0j, 0.08), (3.0 + 2.0j, 0.1), (2.2 + 0.4j, 0.12)]
+        + _K_GRID,
     )
     def test_large_values_match_mpmath(self, nu, y):
-        # |K| in the hundreds to thousands, where rounding alone exceeds abs_tol
         mpmath = pytest.importorskip("mpmath")
         ref = complex(mpmath.besselk(nu, y))
-        assert abs(k_bessel(nu, y) - ref) <= 1e-12 * abs(ref)
+        assert abs(k_bessel(nu, y) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("nu, y", [(3 + 9j, 0.05), (3 + 10j, 0.05), (3 + 10j, 0.0672)])
+    def test_cancellation_raises(self, nu, y):
+        # |K| is small next to sum |integrand|: rounding would swamp the value
+        with pytest.raises(QuadratureBudget):
+            k_bessel(nu, y)
 
 
 class TestSigma:
