@@ -11,9 +11,14 @@ is evaluated by parametrizing the cosets with pairs (v, w) of primitive
 integer vectors, v a bottom row and w orthogonal to it: with W = R R^T each
 term equals N1^((t-3s)/2) N2^(-t) where N1 = v W v^T and N2 = w W^{-1} w^T.
 The pair table at a given height is Y-independent, so it is cached and reused
-across quadrature nodes; sums report an honest convergence estimate (the
-difference between the full partial sum and the half-height partial sum)
-instead of pretending to an absolute tolerance.
+across quadrature nodes.  It is stored in CSR form: the unique v rows, the
+start of each v's block of w rows, the w rows and the per-pair heights, in
+int8 up to height 127.  A sum is factored per block as
+N1(v)^e1 . sum over the block of N2(w)^e2, so N1 is evaluated once per v and
+the pair terms are summed per block with np.add.reduceat.  Sums report an
+honest convergence estimate (the difference between the full partial sum
+and the half-height partial sum) instead of pretending to an absolute
+tolerance.
 
 Every constant term is read off one table: the six Weyl images of (s, t)
 and the three roots whose xi product is completion_factor.  The
@@ -30,6 +35,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,127 +186,203 @@ def apply_gl3(g, Y: SL3Point) -> SL3Point:
 
 # --- coset table -----------------------------------------------------------
 
-_TABLE_CACHE: "OrderedDict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]" = (
-    OrderedDict()
-)
-_CACHE_PAIR_CAP = 12_000_000
+
+class _CosetTable(NamedTuple):
+    """CSR pair table: block j pairs v[j] with w[starts[j] : starts[j + 1]]."""
+
+    v: np.ndarray  # (blocks, 3) unique v rows, lexicographic
+    starts: np.ndarray  # (blocks,) offset of each v's block into w
+    w: np.ndarray  # (pairs, 3) w rows, block by block
+    heights: np.ndarray  # (pairs,) max of the sup-norms of v and w
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+_TABLE_CACHE: "OrderedDict[int, _CosetTable]" = OrderedDict()
+_CACHE_BYTE_CAP = 1 << 28
+_BUILD_CHUNK = 1 << 18  # (c1, c2) box points per build step
+_SUM_CHUNK = 1 << 16  # pairs per summation step, rounded to whole blocks
 
 
-def _kernel_basis(v: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    # saturated basis of {w : w.v = 0}; cross(b1, b2) = +-v certifies saturation
-    a, b, c = v
-    if b == 0 and c == 0:
-        return np.array([0, 1, 0]), np.array([0, 0, 1])
-    d, y0, z0 = _ext_gcd(b, c)
-    b1 = np.array([0, c // d, -b // d])
-    b2 = np.array([d, -a * y0, -a * z0])
-    # Lagrange reduction keeps the coefficient boxes small
+def _entry_dtype(height: int) -> np.dtype:
+    # the smallest signed dtype holding -(height + 1) holds +-height
+    return np.min_scalar_type(-height - 1)
+
+
+def _batched_ext_gcd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Batched extended Euclid: (g, x, y) with a x + b y = g >= 0."""
+    old_r, r = a.copy(), b.copy()
+    old_x, x = np.ones_like(a), np.zeros_like(a)
+    old_y, y = np.zeros_like(a), np.ones_like(a)
     while True:
-        n1 = int(b1 @ b1)
-        n2 = int(b2 @ b2)
-        if n1 > n2:
-            b1, b2 = b2, b1
-            n1, n2 = n2, n1
-        mu = round(Fraction(int(b1 @ b2), n1))
-        if mu == 0:
+        live = r != 0
+        if not live.any():
             break
-        b2 = b2 - mu * b1
+        q = old_r // np.where(live, r, 1)
+        old_r, r = np.where(live, r, old_r), np.where(live, old_r - q * r, r)
+        old_x, x = np.where(live, x, old_x), np.where(live, old_x - q * x, x)
+        old_y, y = np.where(live, y, old_y), np.where(live, old_y - q * y, y)
+    sign = np.where(old_r < 0, -1, 1)
+    return sign * old_r, sign * old_x, sign * old_y
+
+
+def _kernel_bases(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lagrange-reduced bases (b1, b2) of {w : w.v = 0}, one per row of v.
+
+    cross(b1, b2) = +-v certifies that each basis spans the whole kernel.
+    """
+    a, b, c = v.T
+    d, y0, z0 = _batched_ext_gcd(b, c)
+    axis = d == 0  # v = (1, 0, 0)
+    d = np.where(axis, 1, d)
+    b1 = np.stack([np.zeros_like(a), c // d, -b // d], axis=1)
+    b2 = np.stack([d, -a * y0, -a * z0], axis=1)
+    b1[axis] = (0, 1, 0)
+    b2[axis] = (0, 0, 1)
+    live = np.arange(len(v))
+    while len(live):
+        p, q = b1[live], b2[live]
+        n1 = np.einsum("ij,ij->i", p, p)
+        n2 = np.einsum("ij,ij->i", q, q)
+        swap = (n1 > n2)[:, None]
+        p, q = np.where(swap, q, p), np.where(swap, p, q)
+        # exact ties stay exact in float64 at these sizes, and np.rint
+        # rounds them to even like round(Fraction)
+        mu = np.rint(np.einsum("ij,ij->i", p, q) / np.minimum(n1, n2))
+        mu = mu.astype(np.int64)
+        b1[live], b2[live] = p, q - mu[:, None] * p
+        live = live[mu != 0]
     return b1, b2
 
 
-def _primitive_v_list(height: int) -> np.ndarray:
-    # canonical representatives: first nonzero coordinate positive, gcd 1
-    h = height
-    rng = np.arange(-h, h + 1)
-    aa, bb, cc = np.meshgrid(np.arange(0, h + 1), rng, rng, indexing="ij")
-    a = aa.ravel()
-    b = bb.ravel()
-    c = cc.ravel()
-    lead = np.where(a != 0, a, np.where(b != 0, b, c))
-    keep = (lead > 0) & (np.gcd(np.gcd(np.abs(a), np.abs(b)), np.abs(c)) == 1)
-    return np.stack([a[keep], b[keep], c[keep]], axis=1)
+def _v_slices(height: int):
+    """Canonical primitive v (first nonzero coordinate positive), one slice
+    per first coordinate, in lexicographic order."""
+    rng = np.arange(-height, height + 1)
+    b, c = (g.ravel() for g in np.meshgrid(rng, rng, indexing="ij"))
+    for a in range(height + 1):
+        keep = np.gcd(np.gcd(a, np.abs(b)), np.abs(c)) == 1
+        if a == 0:
+            keep &= np.where(b != 0, b, c) > 0
+        yield np.stack([np.full(keep.sum(), a), b[keep], c[keep]], axis=1)
 
 
-def _pairs_for_v(v_row: np.ndarray, height: int) -> np.ndarray:
-    """All canonical primitive w with w.v = 0 and sup-norm <= height."""
-    b1, b2 = _kernel_basis((int(v_row[0]), int(v_row[1]), int(v_row[2])))
-    area = math.sqrt(float(v_row @ v_row))
-    lim = math.sqrt(3.0) * height
-    c1_max = int(lim * math.sqrt(float(b2 @ b2)) / area) + 1
-    c2_max = int(lim * math.sqrt(float(b1 @ b1)) / area) + 1
-    c1 = np.arange(-c1_max, c1_max + 1)
-    c2 = np.arange(-c2_max, c2_max + 1)
-    g1, g2 = np.meshgrid(c1, c2, indexing="ij")
-    g1 = g1.ravel()
-    g2 = g2.ravel()
-    coprime = np.gcd(np.abs(g1), np.abs(g2)) == 1
-    g1 = g1[coprime]
-    g2 = g2[coprime]
-    w = g1[:, None] * b1[None, :] + g2[:, None] * b2[None, :]
-    inside = np.max(np.abs(w), axis=1) <= height
-    w = w[inside]
-    lead = np.where(w[:, 0] != 0, w[:, 0], np.where(w[:, 1] != 0, w[:, 1], w[:, 2]))
-    return w[lead > 0]
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # for each slot of the concatenated ranges: its range and its index in it
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
 
 
-def _coset_table(
-    height: int, config: NumericsConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(v rows, w rows, per-pair sup-norm heights), cached per height."""
+def _kernel_pairs(v, b1, b2, c1, c2, height):
+    """Canonical primitive w = g1 b1 + g2 b2 with sup-norm <= height.
+
+    The coefficients obey |g1| <= c1 and |g2| <= c2.  For each g1, the g2
+    that keep the three coordinates of w within +-height form an interval
+    (c2 bounds it where a coordinate of b2 is 0), and so do those that make
+    the first nonzero coordinate positive: with |w_i| <= height that is
+    key(w) > 0 for the linear key(w) = (w_0 B + w_1) B + w_2, B = 2 height + 1.
+    Returns the owning row of v, the w rows with gcd(g1, g2) = 1 and the
+    pair heights, in the order of v, then g1, then g2.
+    """
+    row_v, k = _ragged(2 * c1 + 1)
+    g1 = k - c1[row_v]
+    p = b1.T[:, row_v] * g1  # coordinates as rows: w = p + g2 q per g1
+    q = b2.T[:, row_v]
+    # |p_i + g2 q_i| <= height, with signs flipped so that q_i >= 0
+    p_flip = np.where(q < 0, -p, p)
+    q_abs = np.abs(q)
+    free = q_abs == 0
+    q_safe = np.where(free, 1, q_abs)
+    bound = c2[row_v]
+    lo = np.where(free, -bound, -((height + p_flip) // q_safe)).max(axis=0)
+    hi = np.where(free, bound, (height - p_flip) // q_safe).min(axis=0)
+    # a free coordinate out of range empties the row
+    hi = np.where((free & (np.abs(p) > height)).any(axis=0), lo - 1, hi)
+    # key(p) + g2 key(q) > 0, i.e. g2 > m or g2 < -m by the sign of key(q);
+    # key(q) != 0 since a reduced kernel basis has |b2| <= 2 height < B
+    base = 2 * height + 1
+    key_p = (p[0] * base + p[1]) * base + p[2]
+    key_q = (q[0] * base + q[1]) * base + q[2]
+    m = -key_p // np.abs(key_q)
+    lo = np.where(key_q > 0, np.maximum(lo, m + 1), lo)
+    hi = np.where(key_q < 0, np.minimum(hi, -m - 1), hi)
+    row, j = _ragged(np.maximum(hi - lo + 1, 0))
+    g2 = lo[row] + j
+    keep = np.gcd(g1[row], g2) == 1
+    row = row[keep]
+    w = p[:, row] + g2[keep] * q[:, row]
+    owner = row_v[row]
+    heights = np.maximum(np.abs(w).max(axis=0), np.abs(v).max(axis=1)[owner])
+    return owner, w.T, heights
+
+
+def _coset_table(height: int, config: NumericsConfig) -> _CosetTable:
+    """The CSR pair table at a given height, cached per height.
+
+    A pair is a canonical primitive v (first nonzero coordinate positive)
+    and a canonical primitive w orthogonal to it, both of sup-norm <= height.
+    The table holds the unique v rows, the start of each v's block of w
+    rows, the w rows and the per-pair heights.  Every v has a pair (w =
+    +-(b, -a, 0) / gcd(a, b), or (1, 0, 0) when v = (0, 0, 1)), so no block
+    is empty.  Entries use the smallest signed dtype holding +-height: int8
+    up to height 127, 4 bytes a pair.
+
+    The build runs across all v at once: batched kernel bases, then the
+    ragged coefficient ranges of each basis (_kernel_pairs), walked in steps
+    of about _BUILD_CHUNK points of the bounding (c1, c2) boxes.  The budget is
+    checked after every step, so an over-budget table is never built.  The
+    cache holds every table and evicts the oldest while the arrays it holds
+    exceed _CACHE_BYTE_CAP bytes; the newest table always stays.
+    """
     cached = _TABLE_CACHE.get(height)
     if cached is not None:
-        if len(cached[0]) > config.vector_budget:
+        if len(cached.w) > config.vector_budget:
             raise EnumerationOverflow(
-                f"coset table at height {height} holds {len(cached[0])} pairs"
+                f"coset table at height {height} holds {len(cached.w)} pairs"
             )
         _TABLE_CACHE.move_to_end(height)
         return cached
-    v_rows = _primitive_v_list(height)
-    v_blocks: list[np.ndarray] = []
-    w_blocks: list[np.ndarray] = []
-    h_blocks: list[np.ndarray] = []
+    dtype = _entry_dtype(height)
+    parts: list[tuple[np.ndarray, ...]] = []
     count = 0
-    for v_row in v_rows:
-        w = _pairs_for_v(v_row, height)
-        if len(w) == 0:
-            continue
-        count += len(w)
-        if count > config.vector_budget:
-            raise EnumerationOverflow(
-                f"coset enumeration at height {height} exceeded the budget "
-                f"of {config.vector_budget} pairs"
+    for v in _v_slices(height):
+        b1, b2 = _kernel_bases(v)
+        # g1 = +-(b2 x v).w / |v|^2 and g2 = +-(b1 x v).w / |v|^2, so on
+        # the cube |g1| <= height |b2 x v|_1 / |v|^2, and likewise g2
+        norm2 = np.einsum("ij,ij->i", v, v)
+        c1 = height * np.abs(np.cross(b2, v)).sum(axis=1) // norm2
+        c2 = height * np.abs(np.cross(b1, v)).sum(axis=1) // norm2
+        ends = np.cumsum((2 * c1 + 1) * (2 * c2 + 1))
+        lo = 0
+        while lo < len(v):
+            done = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + _BUILD_CHUNK, "right")))
+            owner, w, heights = _kernel_pairs(
+                v[lo:hi], b1[lo:hi], b2[lo:hi], c1[lo:hi], c2[lo:hi], height
             )
-        v_sup = int(np.max(np.abs(v_row)))
-        h_blocks.append(
-            np.maximum(np.max(np.abs(w), axis=1), v_sup).astype(np.int32)
-        )
-        w_blocks.append(w.astype(np.int32))
-        v_blocks.append(np.broadcast_to(v_row, (len(w), 3)).astype(np.int32))
-    table = (
-        np.concatenate(v_blocks),
-        np.concatenate(w_blocks),
-        np.concatenate(h_blocks),
-    )
+            count += len(w)
+            if count > config.vector_budget:
+                raise EnumerationOverflow(
+                    f"coset enumeration at height {height} exceeded the budget "
+                    f"of {config.vector_budget} pairs"
+                )
+            parts.append((
+                v[lo:hi].astype(dtype),
+                np.bincount(owner, minlength=hi - lo),
+                w.astype(dtype, order="C"),
+                heights.astype(dtype),
+            ))
+            lo = hi
+    v_rows, sizes, w_rows, heights = (np.concatenate(p) for p in zip(*parts))
+    table = _CosetTable(v_rows, np.cumsum(sizes) - sizes, w_rows, heights)
     _TABLE_CACHE[height] = table
-    held = sum(len(t[0]) for t in _TABLE_CACHE.values())
-    while held > _CACHE_PAIR_CAP and len(_TABLE_CACHE) > 1:
+    held = sum(_nbytes(t) for t in _TABLE_CACHE.values())
+    while held > _CACHE_BYTE_CAP and len(_TABLE_CACHE) > 1:
         _, evicted = _TABLE_CACHE.popitem(last=False)
-        held -= len(evicted[0])
+        held -= _nbytes(evicted)
     return table
+
+
+def _nbytes(table: _CosetTable) -> int:
+    return sum(a.nbytes for a in table)
 
 
 class SeriesValue(complex):
@@ -324,34 +406,53 @@ def _check_region(s: complex, t: complex, config: NumericsConfig) -> None:
         )
 
 
+def _power(x: np.ndarray, e: complex) -> np.ndarray:
+    # x ** e for positive x; real arrays stay real
+    if e.imag == 0.0:
+        return x ** e.real
+    return np.exp(e * np.log(x))
+
+
 def _table_sums(
-    table: tuple[np.ndarray, np.ndarray, np.ndarray],
+    table: _CosetTable,
     w_form: np.ndarray,
     w_inv: np.ndarray,
     s: complex,
     t: complex,
     half_height: int,
 ) -> tuple[complex, complex]:
-    v_rows, w_rows, heights = table
-    e1 = 0.5 * (t - 3.0 * s)
-    e2 = -t
-    real_exps = e1.imag == 0.0 and e2.imag == 0.0
+    """Full and half-height sums of N1^((t-3s)/2) N2^(-t) over the table.
+
+    Factored per block: N1^e1 is taken once per unique v, N2^e2 once per
+    pair with N2 = w W^{-1} w^T as a six-monomial quadratic form, the pair
+    terms are summed per block with np.add.reduceat, and the block sums are
+    dotted with the N1^e1.  Steps of about _SUM_CHUNK pairs over whole
+    blocks bound the float temporaries.  The half-height sum keeps the
+    pairs of height <= half_height and is only formed when that is
+    positive; otherwise it is returned as 0.
+    """
+    v, starts, w_rows, heights = table
+    v = v.astype(np.float64)
+    n1 = np.einsum("ij,jk,ik->i", v, w_form, v)
+    n1e1 = _power(n1, 0.5 * (t - 3.0 * s))
+    q = w_inv
     total = 0.0 + 0.0j
     total_half = 0.0 + 0.0j
-    chunk = 1 << 20
-    for lo in range(0, len(v_rows), chunk):
-        v = v_rows[lo : lo + chunk].astype(np.float64)
-        w = w_rows[lo : lo + chunk].astype(np.float64)
-        n1 = np.einsum("ij,jk,ik->i", v, w_form, v)
-        n2 = np.einsum("ij,jk,ik->i", w, w_inv, w)
-        if real_exps:
-            terms = n1 ** e1.real * n2 ** e2.real
-        else:
-            terms = np.exp(e1 * np.log(n1) + e2 * np.log(n2))
-        total += complex(np.sum(terms))
-        mask = heights[lo : lo + chunk] <= half_height
-        total_half += complex(np.sum(terms[mask]))
-    return total, total_half
+    bounds = np.append(starts, len(w_rows))
+    marks = np.arange(0, len(w_rows), _SUM_CHUNK)
+    edges = np.unique(np.searchsorted(starts, marks, "right") - 1)
+    for lo, hi in zip(edges, np.append(edges[1:], len(starts))):
+        p0, p1 = bounds[lo], bounds[hi]
+        x, y, z = np.asarray(w_rows[p0:p1].T, dtype=np.float64, order="C")
+        n2 = x * (q[0, 0] * x + 2.0 * q[0, 1] * y + 2.0 * q[0, 2] * z)
+        n2 += y * (q[1, 1] * y + 2.0 * q[1, 2] * z) + q[2, 2] * z * z
+        terms = _power(n2, -t)
+        local = starts[lo:hi] - p0
+        total += np.add.reduceat(terms, local) @ n1e1[lo:hi]
+        if half_height > 0:
+            kept = np.where(heights[p0:p1] <= half_height, terms, 0.0)
+            total_half += np.add.reduceat(kept, local) @ n1e1[lo:hi]
+    return complex(total), complex(total_half)
 
 
 def sl3_eisenstein_direct(
@@ -379,7 +480,7 @@ def sl3_eisenstein_direct(
     w_form = r @ r.T
     w_inv = np.linalg.inv(w_form)
     total, total_half = _table_sums(table, w_form, w_inv, s, t, height // 2)
-    return SeriesValue(total, abs(total - total_half), len(table[0]))
+    return SeriesValue(total, abs(total - total_half), len(table.w))
 
 
 # --- Weyl orbit --------------------------------------------------------------

@@ -238,9 +238,13 @@ def k_bessel(
 ) -> KBesselValue:
     """K_nu(y) for y > 0 by trapezoidal quadrature of the cosh integral.
 
-    Symmetric in nu <-> -nu by construction (the integrand depends on nu
-    through cosh(nu u) only).  For y so large that the value drops below the
-    smallest normal double, returns exact 0 flagged with .underflow.
+    Accurate to config.abs_tol relative to max(1, |K|): once |K| < 1 that is
+    an absolute error, so small values at large y carry large relative
+    errors (at nu = 0.5 against mpmath: 6.7e-9 relative at y = 20, 9.8e-6
+    at y = 60, 5.7e-2 at y = 200).  Symmetric in nu <-> -nu by construction
+    (the integrand depends on nu through cosh(nu u) only).  For y so large
+    that the value drops below the smallest normal double, returns exact 0
+    flagged with .underflow.
     """
     if y <= 0:
         raise ValueError("k_bessel needs y > 0")

@@ -263,6 +263,27 @@ def best_line_degree_box(gram, covol: float, box: int = 6) -> float:
     return best
 
 
+# ---------- SL3 coset pairs, brute force ----------
+
+
+def coset_pairs_bruteforce(height: int) -> set[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Every (v, w, h) with v, w primitive integer 3-vectors whose first
+    nonzero coordinate is positive, sup-norm <= height, w . v = 0, and h the
+    larger of the two sup-norms; a scan of all vector pairs in the cube."""
+    box = range(-height, height + 1)
+    vecs = [
+        p for p in product(box, repeat=3)
+        if any(p) and next(c for c in p if c != 0) > 0 and math.gcd(*p) == 1
+    ]
+    arr = np.array(vecs)
+    sup = np.max(np.abs(arr), axis=1)
+    rows, cols = np.nonzero(arr @ arr.T == 0)
+    return {
+        (vecs[i], vecs[j], int(max(sup[i], sup[j])))
+        for i, j in zip(rows.tolist(), cols.tolist())
+    }
+
+
 # ---------- S3 character ring ----------
 
 S3_RANKS = {"triv": 1, "sgn": 1, "std": 2}

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from latzeta.eis3 import (
     _FE_SUBSTITUTIONS,
     _ROOTS,
@@ -216,18 +217,85 @@ class TestDirect:
         assert complex(comp).real > 0.0
 
     def test_every_table_is_cached(self, monkeypatch):
-        # the height-6 table holds 11,004 pairs, more than the cache cap
+        # the cache cap is below the bytes of the height-6 table alone
         monkeypatch.setattr(eis3, "_TABLE_CACHE", OrderedDict())
-        monkeypatch.setattr(eis3, "_CACHE_PAIR_CAP", 10_000)
+        monkeypatch.setattr(eis3, "_CACHE_BYTE_CAP", 1_000)
+        _coset_table(4, BIG)
         first = _coset_table(6, BIG)
         second = _coset_table(6, BIG)
-        assert len(first[0]) == 11_004
+        assert len(first.w) == 11_004
+        assert eis3._nbytes(first) > eis3._CACHE_BYTE_CAP
         assert all(a is b for a, b in zip(first, second))
+        # the older table is evicted, the newest one stays
+        assert list(eis3._TABLE_CACHE) == [6]
+
+    def test_pairs_count_pairs_not_blocks(self):
+        v = sl3_eisenstein_direct(IDENTITY, 3.0, 2.0, 6, BIG)
+        assert v.pairs == 11_004
+        assert len(_coset_table(6, BIG).v) == 865
+
+    def test_default_budget_stops_height_60_uncached(self, monkeypatch):
+        monkeypatch.setattr(eis3, "_TABLE_CACHE", OrderedDict())
+        with pytest.raises(EnumerationOverflow):
+            _coset_table(60, NumericsConfig())
+        assert 60 not in eis3._TABLE_CACHE
+
+    def test_tiny_budget_at_height_200(self, monkeypatch):
+        # entries up to +-200 need int16; the budget stops the build first
+        monkeypatch.setattr(eis3, "_TABLE_CACHE", OrderedDict())
+        with pytest.raises(EnumerationOverflow):
+            _coset_table(200, NumericsConfig(vector_budget=1_000))
+        assert 200 not in eis3._TABLE_CACHE
+        assert eis3._entry_dtype(127) == np.int8
+        assert eis3._entry_dtype(128) == np.int16
+        assert eis3._entry_dtype(200) == np.int16
 
     def test_heights_30_vs_60_stable(self):
         a = complex(sl3_eisenstein_direct(IDENTITY, 3.0, 2.0, 30, BIG))
         b = complex(sl3_eisenstein_direct(IDENTITY, 3.0, 2.0, 60, BIG))
         assert abs(a - b) / abs(b) < 1e-3
+
+
+def _pair_rows(table):
+    """The CSR table expanded to one (v, w) row pair per term."""
+    sizes = np.diff(np.append(table.starts, len(table.w)))
+    assert np.all(sizes > 0)
+    return np.repeat(table.v, sizes, axis=0), table.w
+
+
+class TestCosetTable:
+    @pytest.mark.parametrize("height", range(1, 9))
+    def test_pairs_match_bruteforce(self, height):
+        table = _coset_table(height, BIG)
+        v, w = _pair_rows(table)
+        got = {
+            (tuple(a), tuple(b), h)
+            for a, b, h in zip(v.tolist(), w.tolist(), table.heights.tolist())
+        }
+        assert len(got) == len(w)
+        assert len(np.unique(table.v, axis=0)) == len(table.v)
+        assert got == oracles.coset_pairs_bruteforce(height)
+
+    @pytest.mark.parametrize("chunk", [4096, eis3._SUM_CHUNK])
+    @pytest.mark.parametrize(
+        "y", [IDENTITY, SL3Point(1.3, 0.8, 0.21, -0.35, 0.4)], ids=["identity", "generic"]
+    )
+    @pytest.mark.parametrize("s, t", [(3.0, 2.0), (2.2 + 0.5j, 1.7 - 0.3j)])
+    def test_table_sums_match_per_pair_sum(self, monkeypatch, chunk, y, s, t):
+        monkeypatch.setattr(eis3, "_SUM_CHUNK", chunk)
+        table = _coset_table(8, BIG)
+        r = y.matrix()
+        w_form = r @ r.T
+        w_inv = np.linalg.inv(w_form)
+        v, w = (a.astype(float) for a in _pair_rows(table))
+        n1 = np.einsum("ij,jk,ik->i", v, w_form, v).astype(complex)
+        n2 = np.einsum("ij,jk,ik->i", w, w_inv, w).astype(complex)
+        terms = n1 ** (0.5 * (t - 3.0 * s)) * n2 ** (-t)
+        full, half = eis3._table_sums(table, w_form, w_inv, complex(s), complex(t), 4)
+        assert abs(full - terms.sum()) <= 1e-13 * abs(terms.sum())
+        expected = terms[table.heights <= 4].sum()
+        assert abs(half - expected) <= 1e-13 * abs(expected)
+        assert eis3._table_sums(table, w_form, w_inv, complex(s), complex(t), 0)[1] == 0
 
 
 class TestConstantTerms:

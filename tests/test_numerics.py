@@ -138,6 +138,8 @@ class TestKBessel:
         "nu, y",
         # |K| in the hundreds to thousands, where rounding alone exceeds abs_tol
         [(2.0, 0.05), (2.5 + 1.0j, 0.08), (3.0 + 2.0j, 0.1), (2.2 + 0.4j, 0.12)]
+        # tiny |K| at large y: the bound is absolute there, not relative
+        + [(nu, y) for nu in (0.5, 1.5 + 2j) for y in (20.0, 60.0, 200.0)]
         + _K_GRID,
     )
     def test_large_values_match_mpmath(self, nu, y):
