@@ -29,11 +29,6 @@ class UpperHalfPoint:
         return complex(self.x, self.y)
 
 
-def _moebius(mat, z: complex) -> complex:
-    (a, b), (c, d) = mat
-    return (a * z + b) / (c * z + d)
-
-
 def reduce_sl2(z: UpperHalfPoint, max_iter: int = 256):
     """Reduce z into D; returns (z', gamma) with z' = gamma z, gamma in SL2(Z).
 

@@ -161,6 +161,30 @@ def contains(outer, inner) -> bool:
     return True
 
 
+def bareiss_det(mat) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination.
+
+    Bareiss (Math. Comp. 22, 1968): after step k every entry of the trailing
+    block is a (k+1)-minor of the input, so the division by the previous
+    pivot is exact and no entry grows beyond a minor.
+    """
+    a = [list(map(int, row)) for row in mat]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            _swap_rows(a, k, piv)
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def primitive_vector(vec) -> list[int]:
     """Divide out the content; canonical sign (first nonzero positive)."""
     g = 0

@@ -8,9 +8,20 @@ inverse), and the cohomology counts are log-theta sums
     h0(L) = log sum_{x in L} exp(-pi |x|^2),    h1(L) = h0(dual L),
 
 so h0 - h1 - deg == 0 is exactly Poisson summation and doubles as the
-module's global self-test.  Vector enumeration is Fincke-Pohst from a float
-Cholesky factor with an exact rational post-filter, so no vector inside the
-bound is ever missed or misreported.
+module's global self-test.
+
+Exact work runs on one integer Gram matrix: the rational Gram is G_int / den
+with den the lcm of its entry denominators, built on first use.  A norm
+x^T G x is the integer x^T G_int x over den, and a determinant is a Bareiss
+elimination of an integer matrix (intmat.bareiss_det).  Vector enumeration
+is Fincke-Pohst from a float Cholesky factor, expanded one coordinate level
+at a time over all prefixes at once and filtered by the integer norm, so no
+vector inside the bound is ever missed or misreported.
+
+theta_h0 enumerates once, at the radius where Banaszczyk's Gaussian tail
+bound (Math. Ann. 296, 1993, Lemma 1.5) holds the truncation error of h0
+below abs_tol / 10 for a lattice of any scale; it never raises
+NonConvergence.
 """
 
 from __future__ import annotations
@@ -18,12 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EnumerationOverflow, NonConvergence, SingularBasis
 from .halfplane import UpperHalfPoint
-from .intmat import row_hnf
+from .intmat import bareiss_det, row_hnf
 from .jsonio import frac_to_str, str_to_frac
 from .numerics import DEFAULT_CONFIG, NumericsConfig
 
@@ -44,6 +56,7 @@ __all__ = [
 ]
 
 FracMatrix = tuple[tuple[Fraction, ...], ...]
+IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def _as_frac_matrix(rows) -> FracMatrix:
@@ -54,26 +67,10 @@ def _as_frac_matrix(rows) -> FracMatrix:
     return out
 
 
-def _det_frac(m: FracMatrix) -> Fraction:
-    # fraction-free not needed at rank <= 4; plain elimination is exact
-    n = len(m)
-    a = [list(row) for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
+def _scaled_integer(m: FracMatrix) -> tuple[IntMatrix, int]:
+    """(M, den) with m == M / den, den the lcm of the entry denominators."""
+    den = math.lcm(*(v.denominator for row in m for v in row))
+    return tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in m), den
 
 
 def _inv_frac(m: FracMatrix) -> FracMatrix:
@@ -130,7 +127,7 @@ class Lattice:
         r = len(b)
         if not 1 <= r <= 4:
             raise ValueError(f"rank must be in 1..4, got {r}")
-        if _det_frac(b) == 0:
+        if bareiss_det(_scaled_integer(b)[0]) == 0:
             raise SingularBasis("basis rows are linearly dependent")
         g = _mat_mul(b, _transpose(b))
         return Lattice(rank=r, gram=g, basis=b)
@@ -146,10 +143,9 @@ class Lattice:
                 if g[i][j] != g[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
         # Sylvester: every leading principal minor positive
-        for k in range(1, r + 1):
-            minor = _det_frac(tuple(row[:k] for row in g[:k]))
-            if minor <= 0:
-                raise SingularBasis("Gram matrix is not positive definite")
+        gi = _scaled_integer(g)[0]
+        if any(bareiss_det([row[:k] for row in gi[:k]]) <= 0 for k in range(1, r + 1)):
+            raise SingularBasis("Gram matrix is not positive definite")
         return Lattice(rank=r, gram=g)
 
     @staticmethod
@@ -178,8 +174,14 @@ class Lattice:
             "gram": [[frac_to_str(v) for v in row] for row in self.gram],
         }
 
+    @cached_property
+    def _int_gram(self) -> tuple[IntMatrix, int]:
+        """(G_int, den) with gram == G_int / den, built on first use."""
+        return _scaled_integer(self.gram)
+
     def gram_det(self) -> Fraction:
-        return _det_frac(self.gram)
+        g, den = self._int_gram
+        return Fraction(bareiss_det(g), den**self.rank)
 
 
 @dataclass(frozen=True)
@@ -213,12 +215,17 @@ def dual(L: Lattice) -> Lattice:
 
 def _enumerate_classes(
     L: Lattice, norm_bound, config: NumericsConfig
-) -> list[tuple[tuple[int, ...], Fraction]]:
-    """All +-classes of nonzero x with q(x) <= norm_bound, with exact norms.
+) -> tuple[np.ndarray, np.ndarray]:
+    """All +-classes of nonzero x with q(x) <= norm_bound, and den * q(x).
 
-    Candidates come from a float Cholesky factor with slack; membership is
-    settled by the exact rational quadratic form, so float error can only
-    cost a handful of wasted candidates, never a wrong answer.
+    Rows of the first array are the classes, first nonzero coordinate
+    positive, ordered by norm and then by descending coordinates; the second
+    array holds their integer norms x^T G_int x.  Candidates come from a
+    float Cholesky factor with slack; membership is settled by the integer
+    form, so float error can only cost a handful of wasted candidates, never
+    a wrong answer.  Each level adds its candidate count to visited and
+    checks the budget before the level is built, so memory stays
+    proportional to vector_budget.
     """
     bound = Fraction(norm_bound)
     if bound <= 0:
@@ -230,98 +237,94 @@ def _enumerate_classes(
     except np.linalg.LinAlgError as exc:
         raise SingularBasis("Gram matrix is numerically singular") from exc
     R = chol.T  # upper triangular, q(x) = |R x|^2
-    slack = float(bound) * (1.0 + 1e-9) + 1e-9
-    gram = L.gram
     budget = config.vector_budget
-    visited = 0
-    out: list[tuple[tuple[int, ...], Fraction]] = []
-
-    def exact_norm(x: tuple[int, ...]) -> Fraction:
-        acc = Fraction(0)
-        for i in range(r):
-            if x[i]:
-                row = gram[i]
-                acc += x[i] * sum(row[j] * x[j] for j in range(r) if x[j])
-        return acc
-
-    # recurse from the last coordinate down; top-level sign fixed to kill -x
-    def descend(i: int, coords: list[int], remaining: float, center_shift: np.ndarray):
-        nonlocal visited
-        if i < 0:
-            x = tuple(coords[::-1])
-            if any(x):
-                q = exact_norm(x)
-                if q <= bound:
-                    # canonical rep: first nonzero coordinate positive
-                    for v in x:
-                        if v:
-                            if v < 0:
-                                x = tuple(-c for c in x)
-                            break
-                    out.append((x, q))
-            return
+    visited = 0.0
+    # one row per prefix (x_i, ..., x_{r-1}): its coordinates, the partial
+    # sums of x_j R[:, j] over j >= i, and the squared length still allowed
+    coords = np.zeros((1, 0), dtype=np.int64)
+    shift = np.zeros((1, r))
+    remaining = np.array([float(bound) * (1.0 + 1e-9) + 1e-9])
+    for i in range(r - 1, -1, -1):
         rii = R[i, i]
-        c = -center_shift[i] / rii
-        half_width = math.sqrt(max(remaining, 0.0)) / abs(rii)
-        lo = math.ceil(c - half_width - 1e-9)
-        hi = math.floor(c + half_width + 1e-9)
+        c = -shift[:, i] / rii
+        half_width = np.sqrt(np.maximum(remaining, 0.0)) / abs(rii)
+        lo = np.ceil(c - half_width - 1e-9)
+        hi = np.floor(c + half_width + 1e-9)
         if i == r - 1:
-            lo = max(lo, 0)  # +-symmetry: leading coordinate nonnegative
-        for xi in range(lo, hi + 1):
-            visited += 1
-            if visited > budget:
-                raise EnumerationOverflow(
-                    f"vector enumeration exceeded budget {budget}"
-                )
-            t = rii * xi + center_shift[i]
-            rem2 = remaining - t * t
-            if rem2 < -1e-9:
-                continue
-            if i == 0:
-                descend(-1, coords + [xi], rem2, center_shift)
-            else:
-                new_shift = center_shift + xi * R[:, i]
-                descend(i - 1, coords + [xi], max(rem2, 0.0), new_shift)
+            lo = np.maximum(lo, 0.0)  # +-symmetry: leading coordinate nonnegative
+        counts = np.maximum(hi - lo + 1.0, 0.0)
+        visited += counts.sum()
+        if visited > budget:
+            raise EnumerationOverflow(f"vector enumeration exceeded budget {budget}")
+        counts = counts.astype(np.int64)
+        parent = np.repeat(np.arange(len(counts)), counts)
+        xi = lo[parent] + (np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent])
+        t = rii * xi + shift[parent, i]
+        rem = remaining[parent] - t * t
+        keep = rem >= -1e-9
+        parent, xi = parent[keep], xi[keep]
+        coords = np.column_stack([xi.astype(np.int64), coords[parent]])
+        shift = shift[parent] + xi[:, None] * R[:, i]
+        remaining = np.maximum(rem[keep], 0.0)
 
-    descend(r - 1, [], slack, np.zeros(r))
-    # drop duplicates from the x_r = 0 hyperplane (both orientations hit it)
-    seen: set[tuple[int, ...]] = set()
-    uniq: list[tuple[tuple[int, ...], Fraction]] = []
-    for x, q in out:
-        if x not in seen:
-            seen.add(x)
-            uniq.append((x, q))
-    uniq.sort(key=lambda p: (p[1], tuple(-c for c in p[0])))
-    return uniq
+    x = coords[np.any(coords != 0, axis=1)]
+    lead = x[np.arange(len(x)), np.argmax(x != 0, axis=1)]
+    x = x * np.sign(lead)[:, None]
+    gi, den = L._int_gram
+    # |x^T G x| <= max|G| (sum |x_i|)^2 bounds every partial sum too
+    size = max(abs(v) for row in gi for v in row) * int(np.abs(x).sum(axis=1).max(initial=1)) ** 2
+    dtype = np.int64 if size < 2**62 else object
+    xd = x.astype(dtype)
+    q = ((xd @ np.array(gi, dtype=dtype)) * xd).sum(axis=1)
+    # bound * den may carry a 2^52 denominator: compare with its floor
+    keep = q <= bound.numerator * den // bound.denominator
+    x, q = x[keep], q[keep]
+    order = np.lexsort((*(-x[:, ::-1].T), q))
+    x, q = x[order], q[order]
+    # both orientations of a vector on the x_{r-1} = 0 hyperplane are reached;
+    # sorted, the copies are adjacent (np.unique(axis=0) imports 1 MB of numpy.ma)
+    fresh = np.ones(len(x), dtype=bool)
+    fresh[1:] = np.any(x[1:] != x[:-1], axis=1)
+    return x[fresh], q[fresh]
 
 
 def short_vectors(
     L: Lattice, norm_bound, config: NumericsConfig = DEFAULT_CONFIG
 ) -> list[tuple[int, ...]]:
     """Nonzero vectors with squared length <= norm_bound, one per +- pair."""
-    return [x for x, _ in _enumerate_classes(L, norm_bound, config)]
+    return [tuple(x) for x in _enumerate_classes(L, norm_bound, config)[0].tolist()]
+
+
+def _theta_radius2(rank: int, tol: float) -> float:
+    """n c^2 at which Banaszczyk's tail factor beta(c)^n equals min(tol, 1) / 10.
+
+    With u = pi c^2, log beta = log(2 e u) / 2 - u, so the condition is
+    f(u) = u - log(2 e u) / 2 - target = 0.  f is increasing and convex for
+    u > 1/2, so after Newton's first step every iterate lies at or right of
+    the root and is a valid radius; four steps reach double precision.
+    """
+    target = -math.log(min(tol, 1.0) / 10.0) / rank
+    u = 1.0 + target
+    for _ in range(4):
+        u -= (u - 0.5 * math.log(2.0 * math.e * u) - target) / (1.0 - 0.5 / u)
+    return rank * u / math.pi
 
 
 def theta_h0(L: Lattice, config: NumericsConfig = DEFAULT_CONFIG) -> float:
-    """log sum_{x in L} exp(-pi |x|^2), truncated with a verified tail.
+    """log sum_{x in L} exp(-pi |x|^2), truncated at a proven radius.
 
-    Enumeration radius starts where a single point's weight drops below
-    tolerance and grows until the outermost unit shell contributes under
-    abs_tol/10 -- an empirical stand-in for the Gaussian tail bound that
-    stays honest for dense (small-covolume) lattices.
+    Banaszczyk (Math. Ann. 296, 1993, Lemma 1.5): for c >= 1/sqrt(2 pi) the
+    Gaussian mass of a rank-n lattice outside the ball of radius c sqrt(n)
+    is below beta^n times the whole, beta = c sqrt(2 pi e) exp(-pi c^2),
+    whatever the lattice's scale.  One enumeration of |x|^2 <= n c^2 with
+    beta^n = abs_tol / 10 therefore misses at most
+    -log(1 - beta^n) <= beta^n / (1 - beta^n) of h0.  Norms come from the
+    integer Gram; the only failure is EnumerationOverflow past
+    vector_budget, never NonConvergence.
     """
-    tol = config.abs_tol
-    q_max = max(1.0, -math.log(tol) / math.pi)
-    for _ in range(64):
-        pairs = _enumerate_classes(L, Fraction(q_max + 1.0), config)
-        shell = math.fsum(
-            2.0 * math.exp(-math.pi * float(q)) for _, q in pairs if float(q) > q_max
-        )
-        if shell < tol / 10.0:
-            total = math.fsum(2.0 * math.exp(-math.pi * float(q)) for _, q in pairs)
-            return math.log1p(total)
-        q_max += 1.0
-    raise NonConvergence("theta shell check failed to stabilize")
+    _, q = _enumerate_classes(L, Fraction(_theta_radius2(L.rank, config.abs_tol)), config)
+    den = L._int_gram[1]
+    return math.log1p(math.fsum(2.0 * np.exp(-math.pi * (q.astype(float) / float(den)))))
 
 
 def theta_h1(L: Lattice, config: NumericsConfig = DEFAULT_CONFIG) -> float:
@@ -401,10 +404,6 @@ def hnf_basis(L: Lattice) -> FracMatrix:
     """
     if L.basis is None:
         raise ValueError("hnf_basis needs a basis-backed lattice")
-    den = 1
-    for row in L.basis:
-        for v in row:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-    m = [[int(v * den) for v in row] for row in L.basis]
+    m, den = _scaled_integer(L.basis)
     h = row_hnf(m)
     return tuple(tuple(Fraction(v, den) for v in row) for row in h)

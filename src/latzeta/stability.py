@@ -26,13 +26,14 @@ from fractions import Fraction
 
 from .errors import InvalidFlag
 from .intmat import (
+    bareiss_det,
     contains,
     is_primitive,
     primitive_vector,
     right_kernel_basis,
     row_hnf,
 )
-from .lattice import Lattice, _det_frac, _log_frac, degree, dual, minkowski_point, short_vectors
+from .lattice import Lattice, _log_frac, degree, dual, minkowski_point, short_vectors
 from .numerics import DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
@@ -104,21 +105,11 @@ class Flag:
 
 
 def _sub_gram_det(L: Lattice, rows) -> Fraction:
-    k = len(rows)
-    r = L.rank
-    g = L.gram
-    gram = tuple(
-        tuple(
-            sum(
-                Fraction(rows[a][i]) * g[i][j] * rows[b][j]
-                for i in range(r)
-                for j in range(r)
-            )
-            for b in range(k)
-        )
-        for a in range(k)
-    )
-    return _det_frac(gram)
+    """det(R G R^T) for integer coordinate rows R: det(R G_int R^T) / den^k."""
+    g, den = L._int_gram
+    rg = [[sum(a * col for a, col in zip(row, cols)) for cols in zip(*g)] for row in rows]
+    sub = [[sum(a * b for a, b in zip(x, row)) for row in rows] for x in rg]
+    return Fraction(bareiss_det(sub), den ** len(rows))
 
 
 def _sub_degree(L: Lattice, rows) -> float:

@@ -99,14 +99,20 @@ def theta_1d(u: float, terms: int = 60) -> float:
     return 1.0 + 2.0 * math.fsum(math.exp(-math.pi * n * n * u) for n in range(1, terms))
 
 
-def theta_gram_bruteforce(gram, box: int) -> float:
-    """Sum of exp(-pi x^T G x) over the integer box [-box, box]^r."""
+def theta_box(gram, beyond: float = -1.0) -> float:
+    """Sum of exp(-pi x^T G x) over integer x with x^T G x > beyond.
+
+    Scans the box |x_i| <= sqrt(Q (G^-1)_ii), which holds every x with
+    x^T G x <= Q = 60 / pi; each point left out weighs below e^-60.
+    """
     r = len(gram)
     g = np.array([[float(x) for x in row] for row in gram])
-    axes = [np.arange(-box, box + 1)] * r
+    ginv = np.linalg.inv(g)
+    q_max = 60.0 / math.pi
+    axes = [np.arange(-m, m + 1) for m in (int(math.sqrt(q_max * ginv[i, i])) + 1 for i in range(r))]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, r).astype(float)
     norms = np.einsum("ij,jk,ik->i", pts, g, pts)
-    return float(np.sum(np.exp(-math.pi * norms)))
+    return math.fsum(np.exp(-math.pi * norms[norms > beyond]))
 
 
 # ---------- Eisenstein / Epstein direct sums ----------
@@ -231,12 +237,21 @@ def sigma_exact(s_int: int, n: int) -> Fraction:
 # ---------- short vectors / rank-2 sublattice search, naive box scan ----------
 
 
-def short_vectors_box(gram, bound, box: int):
-    """All +-classes of nonzero integer vectors with x^T G x <= bound; exact."""
+def short_vectors_box(gram, bound, box):
+    """All +-classes of nonzero integer vectors with x^T G x <= bound; exact.
+
+    Scans |x_i| <= box, an int or one half-width per coordinate.  A float
+    pass drops the points clearly outside; Fraction arithmetic decides the
+    rest.  Ordered by norm, then by descending coordinates.
+    """
     r = len(gram)
+    widths = [box] * r if isinstance(box, int) else list(box)
     g = [[Fraction(x) for x in row] for row in gram]
+    axes = [np.arange(-w, w + 1) for w in widths]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, r)
+    approx = np.einsum("ij,jk,ik->i", pts, np.array(g, dtype=float), pts)
     out = []
-    for coeffs in product(range(-box, box + 1), repeat=r):
+    for coeffs in pts[approx <= float(bound) * (1 + 1e-9) + 1e-9].tolist():
         if all(c == 0 for c in coeffs):
             continue
         first = next(c for c in coeffs if c != 0)
@@ -247,9 +262,28 @@ def short_vectors_box(gram, bound, box: int):
             for j in range(r):
                 q += g[i][j] * coeffs[i] * coeffs[j]
         if q <= bound:
-            out.append((coeffs, q))
-    out.sort(key=lambda it: (it[1], it[0]))
+            out.append((tuple(coeffs), q))
+    out.sort(key=lambda it: (it[1], tuple(-c for c in it[0])))
     return out
+
+
+def frac_det(m) -> Fraction:
+    """Determinant by Gaussian elimination over Fraction."""
+    a = [[Fraction(v) for v in row] for row in m]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for i in range(col + 1, n):
+            f = a[i][col] / a[col][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return det
 
 
 def best_line_degree_box(gram, covol: float, box: int = 6) -> float:

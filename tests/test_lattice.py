@@ -4,12 +4,16 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import oracles
 from latzeta.errors import EnumerationOverflow, SingularBasis
 from latzeta.lattice import (
     CohomologyReport,
     Lattice,
+    _enumerate_classes,
+    _theta_radius2,
     covolume,
     degree,
     direct_sum,
@@ -22,7 +26,7 @@ from latzeta.lattice import (
     theta_h0,
     theta_h1,
 )
-from latzeta.numerics import NumericsConfig
+from latzeta.numerics import DEFAULT_CONFIG, NumericsConfig
 
 # direct summation oracles (independent of the package enumeration)
 H0_Z1 = 0.08290152003105464          # log(1 + 2 sum e^{-pi n^2})
@@ -32,6 +36,7 @@ THETA_HEX = 1.2597886341224682       # brute force over the box [-25,25]^2
 Z1 = Lattice.from_basis([[1]])
 Z2 = Lattice.from_basis([[1, 0], [0, 1]])
 Z3 = Lattice.from_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+Z4 = Lattice.from_basis([[int(i == j) for j in range(4)] for i in range(4)])
 HEX = Lattice.from_gram([[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
 
 
@@ -42,6 +47,36 @@ def random_lattice(rng, rank, span=3):
             return Lattice.from_basis(rows)
         except (SingularBasis, ValueError):
             continue
+
+
+def shaped_lattice(rng, rank):
+    """Rows D (I + E), mixed by unimodular row operations: the Gram-Schmidt
+    lengths are D in [1/2, 2], so neither the lattice nor its dual has a
+    very short vector and box scans stay small."""
+    rows = []
+    for i in range(rank):
+        d = Fraction(rng.randint(2, 8), 4)
+        rows.append([d * (1 if j == i else 0 if j < i else Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))))
+                     for j in range(rank)])
+    for _ in range(3 if rank > 1 else 0):
+        i, j = rng.sample(range(rank), 2)
+        rows[i] = [a + rng.choice((-1, 1)) * b for a, b in zip(rows[i], rows[j])]
+    return Lattice.from_basis(rows)
+
+
+def box_widths(L, bound) -> list[int]:
+    """Half-widths of a coordinate box holding every x with x^T G x <= bound."""
+    ginv = np.linalg.inv(np.array(L.gram, dtype=float))
+    return [int(math.sqrt(float(bound) * d)) + 1 for d in np.diag(ginv)]
+
+
+# denominators near 10^12 push x^T G_int x past int64
+BIG_DEN = Lattice.from_gram(
+    [
+        [1 + Fraction(1, 10**12 + 39), Fraction(1, 2) - Fraction(1, 10**12 + 3)],
+        [Fraction(1, 2) - Fraction(1, 10**12 + 3), Fraction(4, 3) + Fraction(7, 10**12 + 9)],
+    ]
+)
 
 
 class TestDegree:
@@ -119,6 +154,33 @@ class TestTheta:
             theta_h0(scale(Z2, Fraction(1, 20)), tiny)
 
 
+SHAPED = [shaped_lattice(random.Random(100 * rank + k), rank) for rank in (1, 2, 3, 4) for k in range(3)]
+THETA_CASES = (
+    SHAPED
+    + [dual(L) for L in SHAPED]
+    + [scale(Z3, Fraction(1, 3)), scale(Z1, 5), HEX, BIG_DEN]
+)
+
+
+class TestThetaOracle:
+    """theta_h0 against the box-scan oracle, and the Banaszczyk radius
+    against the oracle's own tail beyond it."""
+
+    @pytest.mark.parametrize("L", THETA_CASES, ids=lambda L: f"rank{L.rank}")
+    def test_matches_box_sum(self, L):
+        assert abs(theta_h0(L) - math.log(oracles.theta_box(L.gram))) <= 1e-12
+
+    @pytest.mark.parametrize("L", THETA_CASES, ids=lambda L: f"rank{L.rank}")
+    def test_tail_beyond_radius(self, L):
+        tol = DEFAULT_CONFIG.abs_tol
+        radius2 = _theta_radius2(L.rank, tol)
+        assert oracles.theta_box(L.gram, beyond=radius2) <= tol / 10 * oracles.theta_box(L.gram)
+
+    def test_radius_values(self):
+        got = [_theta_radius2(n, 1e-12) for n in (1, 2, 3, 4)]
+        assert [round(v, 2) for v in got] == [10.35, 10.97, 11.53, 12.04]
+
+
 class TestRiemannRoch:
     def test_identity_exact(self):
         for L in (Z1, Z2, Z3):
@@ -154,29 +216,51 @@ class TestShortVectors:
 
     def test_matches_box_bruteforce(self):
         rng = random.Random(31)
-        for _ in range(10):
-            L = random_lattice(rng, rng.choice([2, 3]), span=2)
-            bound = Fraction(rng.randint(2, 8))
-            got = set(short_vectors(L, bound))
-            want = set()
-            r = L.rank
-            span = 12
-            coords = range(-span, span + 1)
-            import itertools
+        for rank in [2, 3, 4] * 6:
+            L = shaped_lattice(rng, rank)
+            bound = Fraction(rng.randint(2, 8), rng.choice((1, 2, 3)))
+            want = oracles.short_vectors_box(L.gram, bound, box_widths(L, bound))
+            assert short_vectors(L, bound) == [x for x, _ in want]
 
-            for x in itertools.product(coords, repeat=r):
-                if not any(x):
-                    continue
-                q = sum(L.gram[i][j] * x[i] * x[j] for i in range(r) for j in range(r))
-                if q <= bound:
-                    v = x
-                    for comp in v:
-                        if comp:
-                            if comp < 0:
-                                v = tuple(-c for c in v)
-                            break
-                    want.add(v)
-            assert got == want
+    def test_hyperplane_duplicates_removed(self):
+        # with x_4 = 0 both orientations of (1, -1, 0, 0) etc. are reached
+        want = oracles.short_vectors_box(Z4.gram, 2, 2)
+        assert len(want) == 16
+        assert short_vectors(Z4, 2) == [x for x, _ in want]
+
+    def test_big_denominators_use_python_ints(self):
+        bound = BIG_DEN.gram[0][0] + BIG_DEN.gram[1][1]
+        x, q = _enumerate_classes(BIG_DEN, bound, DEFAULT_CONFIG)
+        assert q.dtype == object
+        want = oracles.short_vectors_box(BIG_DEN.gram, bound, box_widths(BIG_DEN, bound))
+        assert short_vectors(BIG_DEN, bound) == [v for v, _ in want]
+        assert short_vectors(BIG_DEN, bound - Fraction(1, 10**40)) == [v for v, n in want if n < bound]
+        assert short_vectors(BIG_DEN, Fraction(1, 10)) == []
+
+    # N counts the candidate coordinates tried, as a depth-first Fincke-Pohst
+    # with the same bounds counts them; the budget raises iff visited > N
+    @pytest.mark.parametrize(
+        "L, bound, visited",
+        [
+            (Z4, 2, 48),
+            (
+                Lattice.from_basis(
+                    [
+                        [1, 0, 0, 0],
+                        [Fraction(1, 2), 1, 0, 0],
+                        [Fraction(1, 3), Fraction(-2, 3), Fraction(3, 2), 0],
+                        [1, 1, Fraction(1, 2), Fraction(4, 5)],
+                    ]
+                ),
+                5,
+                109,
+            ),
+        ],
+    )
+    def test_budget_contract(self, L, bound, visited):
+        assert short_vectors(L, bound, NumericsConfig(vector_budget=visited))
+        with pytest.raises(EnumerationOverflow):
+            short_vectors(L, bound, NumericsConfig(vector_budget=visited - 1))
 
 
 class TestMinkowski:

@@ -5,8 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from latzeta.errors import InvalidFlag
+from latzeta.intmat import bareiss_det
 from latzeta.lattice import Lattice, degree, scale
 from latzeta.numerics import DEFAULT_CONFIG
 from latzeta.stability import (
@@ -14,6 +17,7 @@ from latzeta.stability import (
     Polygon,
     _candidate_sublattices,
     _sub_degree,
+    _sub_gram_det,
     arthur_correspondence_rank2,
     canonical_filtration,
     canonical_polygon,
@@ -55,6 +59,47 @@ def random_flag(rank, rng):
     u = random_unimodular(rank, rng)
     ks = sorted(rng.sample(range(1, rank), rng.randint(0, rank - 1))) + [rank]
     return Flag(tuple(tuple(tuple(row) for row in u[:k]) for k in ks))
+
+
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+
+
+@st.composite
+def gram_and_rows(draw):
+    """A random rational Gram B B^T of rank 1..4 and k <= rank integer rows;
+    about half the draws make the last row a combination of the others."""
+    r = draw(st.integers(1, 4))
+    basis = draw(st.lists(st.lists(RATIONALS, min_size=r, max_size=r), min_size=r, max_size=r))
+    assume(oracles.frac_det(basis) != 0)
+    k = draw(st.integers(1, r))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=r, max_size=r), min_size=k, max_size=k))
+    singular = draw(st.booleans())
+    if singular:
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=k - 1, max_size=k - 1))
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(r)]
+    return Lattice.from_basis(basis), rows, singular
+
+
+class TestIntegerDeterminants:
+    @settings(max_examples=300, deadline=None)
+    @given(gram_and_rows())
+    def test_match_fraction_elimination(self, case):
+        L, rows, singular = case
+        g = L.gram
+        r = L.rank
+        sub = [[sum(a[i] * g[i][j] * b[j] for i in range(r) for j in range(r)) for b in rows] for a in rows]
+        assert _sub_gram_det(L, rows) == oracles.frac_det(sub)
+        assert Lattice.from_gram(g).gram_det() == L.gram_det() == oracles.frac_det(g)
+        if singular:
+            assert _sub_gram_det(L, rows) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    ))
+    def test_bareiss_on_any_square_matrix(self, m):
+        # zero pivots and row swaps, which a positive semidefinite Gram never needs
+        assert bareiss_det(m) == oracles.frac_det(m)
 
 
 class TestSlope:
