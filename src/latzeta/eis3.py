@@ -11,14 +11,17 @@ is evaluated by parametrizing the cosets with pairs (v, w) of primitive
 integer vectors, v a bottom row and w orthogonal to it: with W = R R^T each
 term equals N1^((t-3s)/2) N2^(-t) where N1 = v W v^T and N2 = w W^{-1} w^T.
 The pair table at a given height is Y-independent, so it is cached and reused
-across quadrature nodes.  It is stored in CSR form: the unique v rows, the
-start of each v's block of w rows, the w rows and the per-pair heights, in
-int8 up to height 127.  A sum is factored per block as
+across points and quadrature nodes.  It is stored in CSR form: the unique v
+rows, the start of each v's block of w rows, the w rows and the per-pair
+heights, in int8 up to height 127.  A sum is factored per block as
 N1(v)^e1 . sum over the block of N2(w)^e2, so N1 is evaluated once per v and
-the pair terms are summed per block with np.add.reduceat.  Sums report an
-honest convergence estimate (the difference between the full partial sum
-and the half-height partial sum) instead of pretending to an absolute
-tolerance.
+the pair terms are summed per block with np.add.reduceat.  One pass over the
+table sums it for a whole stack of Gram forms W, such as every node of a
+unipotent average, with N1 and N2 as six monomials times a coefficient
+matrix.  Complex powers keep their real and imaginary parts as float arrays,
+with the phase from a tangent half-angle.  Sums report an honest convergence
+estimate (the difference between the full partial sum and the half-height
+partial sum) instead of pretending to an absolute tolerance.
 
 Every constant term is read off one table: the six Weyl images of (s, t)
 and the three roots whose xi product is completion_factor.  The
@@ -35,7 +38,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -199,7 +202,7 @@ class _CosetTable(NamedTuple):
 _TABLE_CACHE: "OrderedDict[int, _CosetTable]" = OrderedDict()
 _CACHE_BYTE_CAP = 1 << 28
 _BUILD_CHUNK = 1 << 18  # (c1, c2) box points per build step
-_SUM_CHUNK = 1 << 16  # pairs per summation step, rounded to whole blocks
+_SUM_CHUNK = 1 << 16  # pair terms plus monomials per summation step
 
 
 def _entry_dtype(height: int) -> np.dtype:
@@ -328,10 +331,15 @@ def _coset_table(height: int, config: NumericsConfig) -> _CosetTable:
     The build runs across all v at once: batched kernel bases, then the
     ragged coefficient ranges of each basis (_kernel_pairs), walked in steps
     of about _BUILD_CHUNK points of the bounding (c1, c2) boxes.  The budget is
-    checked after every step, so an over-budget table is never built.  The
-    cache holds every table and evicts the oldest while the arrays it holds
-    exceed _CACHE_BYTE_CAP bytes; the newest table always stays.
+    checked at every step, so an over-budget table is never built.  Each step
+    is written into four buffers grown in place (_put), so the build holds
+    about one table at its peak.  The cache holds every table and evicts the
+    oldest while the arrays it holds exceed _CACHE_BYTE_CAP bytes; the newest
+    table always stays.  A height that is not a positive integer raises
+    ValueError.
     """
+    if not (isinstance(height, int) and height >= 1):
+        raise ValueError("height must be a positive integer")
     cached = _TABLE_CACHE.get(height)
     if cached is not None:
         if len(cached.w) > config.vector_budget:
@@ -341,8 +349,9 @@ def _coset_table(height: int, config: NumericsConfig) -> _CosetTable:
         _TABLE_CACHE.move_to_end(height)
         return cached
     dtype = _entry_dtype(height)
-    parts: list[tuple[np.ndarray, ...]] = []
-    count = 0
+    v_rows, sizes = np.empty((0, 3), dtype), np.empty(0, np.int64)
+    w_rows, heights = np.empty((0, 3), dtype), np.empty(0, dtype)
+    blocks = count = 0
     for v in _v_slices(height):
         b1, b2 = _kernel_bases(v)
         # g1 = +-(b2 x v).w / |v|^2 and g2 = +-(b1 x v).w / |v|^2, so on
@@ -355,23 +364,23 @@ def _coset_table(height: int, config: NumericsConfig) -> _CosetTable:
         while lo < len(v):
             done = ends[lo - 1] if lo else 0
             hi = max(lo + 1, int(np.searchsorted(ends, done + _BUILD_CHUNK, "right")))
-            owner, w, heights = _kernel_pairs(
+            owner, w, pair_heights = _kernel_pairs(
                 v[lo:hi], b1[lo:hi], b2[lo:hi], c1[lo:hi], c2[lo:hi], height
             )
-            count += len(w)
-            if count > config.vector_budget:
+            if count + len(w) > config.vector_budget:
                 raise EnumerationOverflow(
                     f"coset enumeration at height {height} exceeded the budget "
                     f"of {config.vector_budget} pairs"
                 )
-            parts.append((
-                v[lo:hi].astype(dtype),
-                np.bincount(owner, minlength=hi - lo),
-                w.astype(dtype, order="C"),
-                heights.astype(dtype),
-            ))
+            _put(v_rows, blocks, v[lo:hi])
+            _put(sizes, blocks, np.bincount(owner, minlength=hi - lo))
+            _put(w_rows, count, w)
+            _put(heights, count, pair_heights)
+            blocks += hi - lo
+            count += len(w)
             lo = hi
-    v_rows, sizes, w_rows, heights = (np.concatenate(p) for p in zip(*parts))
+    for buf, used in ((v_rows, blocks), (sizes, blocks), (w_rows, count), (heights, count)):
+        buf.resize((used,) + buf.shape[1:], refcheck=False)
     table = _CosetTable(v_rows, np.cumsum(sizes) - sizes, w_rows, heights)
     _TABLE_CACHE[height] = table
     held = sum(_nbytes(t) for t in _TABLE_CACHE.values())
@@ -379,6 +388,20 @@ def _coset_table(height: int, config: NumericsConfig) -> _CosetTable:
         _, evicted = _TABLE_CACHE.popitem(last=False)
         held -= _nbytes(evicted)
     return table
+
+
+def _put(buf: np.ndarray, at: int, rows: np.ndarray) -> None:
+    """Write rows into buf from row at on, growing buf in place when full.
+
+    It grows by at least an eighth.  ndarray.resize reallocates, and on
+    Linux realloc moves a large buffer by remapping its pages, not by
+    copying them, so a build holds about one table at its peak.  No view of
+    buf may exist.
+    """
+    end = at + len(rows)
+    if end > len(buf):
+        buf.resize((max(end, len(buf) + len(buf) // 8),) + buf.shape[1:], refcheck=False)
+    buf[at:end] = rows
 
 
 def _nbytes(table: _CosetTable) -> int:
@@ -406,53 +429,97 @@ def _check_region(s: complex, t: complex, config: NumericsConfig) -> None:
         )
 
 
-def _power(x: np.ndarray, e: complex) -> np.ndarray:
-    # x ** e for positive x; real arrays stay real
+def _power(x: np.ndarray, e: complex) -> tuple[np.ndarray, ...]:
+    """x ** e for positive x: its real part and, for complex e, its imaginary part.
+
+    x ** e = x^a (cos + i sin)(b log x) for e = a + b i.  The phase comes from
+    one tau = tan(b log x / 2), as cos = (1 - tau^2) / (1 + tau^2) and
+    sin = 2 tau / (1 + tau^2).  One float tan costs less than a sin and a
+    cos, and far less than a complex exp (numpy vectorizes tan with
+    AVX512).  The error is that of rounding log x, as in exp(e log x).
+    """
     if e.imag == 0.0:
-        return x ** e.real
-    return np.exp(e * np.log(x))
+        return (x ** e.real,)
+    log_x = np.log(x)
+    tau = np.tan(log_x * (0.5 * e.imag))
+    tau2 = np.square(tau)
+    # in place from here: fresh temporaries took a third of the time
+    scale = np.exp(np.multiply(log_x, e.real, out=log_x), out=log_x)
+    scale /= 1.0 + tau2
+    cos = np.subtract(1.0, tau2, out=tau2)
+    cos *= scale
+    sin = np.multiply(tau, 2.0, out=tau)
+    sin *= scale
+    return cos, sin
+
+
+def _joined(parts: Sequence[np.ndarray]) -> np.ndarray:
+    # the array from its real part, or from its real and imaginary parts
+    return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
+
+
+# (i, j) of the six monomials x_i x_j of a ternary quadratic form, and the
+# factor of the form's (i, j) entry in its coefficient
+_MONOMIALS = ([0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2])
+_MONOMIAL_SCALE = (1.0, 1.0, 1.0, 2.0, 2.0, 2.0)
+
+
+def _quadratic(rows: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """x F x^T for every integer row x and every symmetric 3x3 form F.
+
+    One matmul of the (forms, 6) coefficients with the (6, rows) monomials,
+    transposed to (rows, forms).
+    """
+    i, j = _MONOMIALS
+    x, y, z = rows.T.astype(np.float64)
+    monomials = np.stack([x * x, y * y, z * z, x * y, x * z, y * z])
+    return ((forms[:, i, j] * _MONOMIAL_SCALE) @ monomials).T
 
 
 def _table_sums(
     table: _CosetTable,
-    w_form: np.ndarray,
-    w_inv: np.ndarray,
+    forms: np.ndarray,
     s: complex,
     t: complex,
     half_height: int,
-) -> tuple[complex, complex]:
-    """Full and half-height sums of N1^((t-3s)/2) N2^(-t) over the table.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full and half-height sums of N1^((t-3s)/2) N2^(-t) over the table,
+    one of each for every Gram form W in the (n, 3, 3) stack forms.
 
-    Factored per block: N1^e1 is taken once per unique v, N2^e2 once per
-    pair with N2 = w W^{-1} w^T as a six-monomial quadratic form, the pair
-    terms are summed per block with np.add.reduceat, and the block sums are
-    dotted with the N1^e1.  Steps of about _SUM_CHUNK pairs over whole
-    blocks bound the float temporaries.  The half-height sum keeps the
-    pairs of height <= half_height and is only formed when that is
-    positive; otherwise it is returned as 0.
+    One pass over the table serves every form, with one batched inverse.
+    N1 = v W v^T and N2 = w W^{-1} w^T are six monomials of the rows times
+    a (6, n) coefficient matrix (_quadratic).  A step takes _SUM_CHUNK //
+    (n + 6) pairs, so its temporaries hold about _SUM_CHUNK floats whatever
+    n is.  The real and imaginary parts of N2^e2 stay float arrays; they
+    are summed per block with np.add.reduceat, and the block sums are
+    dotted with the N1^e1 of their v.  A block split between two steps
+    gives a partial sum to each.  The half-height sums keep the pairs of
+    height <= half_height, and are only formed when that is positive;
+    otherwise they are 0.
     """
-    v, starts, w_rows, heights = table
-    v = v.astype(np.float64)
-    n1 = np.einsum("ij,jk,ik->i", v, w_form, v)
-    n1e1 = _power(n1, 0.5 * (t - 3.0 * s))
-    q = w_inv
-    total = 0.0 + 0.0j
-    total_half = 0.0 + 0.0j
-    bounds = np.append(starts, len(w_rows))
-    marks = np.arange(0, len(w_rows), _SUM_CHUNK)
-    edges = np.unique(np.searchsorted(starts, marks, "right") - 1)
-    for lo, hi in zip(edges, np.append(edges[1:], len(starts))):
-        p0, p1 = bounds[lo], bounds[hi]
-        x, y, z = np.asarray(w_rows[p0:p1].T, dtype=np.float64, order="C")
-        n2 = x * (q[0, 0] * x + 2.0 * q[0, 1] * y + 2.0 * q[0, 2] * z)
-        n2 += y * (q[1, 1] * y + 2.0 * q[1, 2] * z) + q[2, 2] * z * z
-        terms = _power(n2, -t)
-        local = starts[lo:hi] - p0
-        total += np.add.reduceat(terms, local) @ n1e1[lo:hi]
+    v_rows, starts, w_rows, heights = table
+    inverses = np.linalg.inv(forms)
+    e1, e2 = 0.5 * (t - 3.0 * s), -t
+    total = np.zeros(len(forms), complex)
+    total_half = np.zeros(len(forms), complex)
+    step = max(1, _SUM_CHUNK // (len(forms) + 6))
+    for p0 in range(0, len(w_rows), step):
+        p1 = min(p0 + step, len(w_rows))
+        # blocks lo:hi meet the step; the first may have begun before it
+        lo = np.searchsorted(starts, p0, "right") - 1
+        hi = np.searchsorted(starts, p1)
+        local = np.maximum(starts[lo:hi] - p0, 0)
+        n1e1 = _joined(_power(_quadratic(v_rows[lo:hi], forms), e1))
+        terms = _power(_quadratic(w_rows[p0:p1], inverses), e2)
+        sums = _joined([np.add.reduceat(p, local, axis=0) for p in terms])
+        total += np.einsum("bn,bn->n", sums, n1e1)
         if half_height > 0:
-            kept = np.where(heights[p0:p1] <= half_height, terms, 0.0)
-            total_half += np.add.reduceat(kept, local) @ n1e1[lo:hi]
-    return complex(total), complex(total_half)
+            kept = (heights[p0:p1] <= half_height)[:, None]
+            sums = _joined(
+                [np.add.reduceat(np.where(kept, p, 0.0), local, axis=0) for p in terms]
+            )
+            total_half += np.einsum("bn,bn->n", sums, n1e1)
+    return total, total_half
 
 
 def sl3_eisenstein_direct(
@@ -473,13 +540,10 @@ def sl3_eisenstein_direct(
     s = complex(s)
     t = complex(t)
     _check_region(s, t, config)
-    if not (isinstance(height, int) and height >= 1):
-        raise ValueError("height must be a positive integer")
     table = _coset_table(height, config)
     r = Y.matrix()
-    w_form = r @ r.T
-    w_inv = np.linalg.inv(w_form)
-    total, total_half = _table_sums(table, w_form, w_inv, s, t, height // 2)
+    total, total_half = _table_sums(table, (r @ r.T)[None], s, t, height // 2)
+    total, total_half = complex(total[0]), complex(total_half[0])
     return SeriesValue(total, abs(total - total_half), len(table.w))
 
 
@@ -617,8 +681,10 @@ def constant_term_numeric(
 
     Product Gauss-Legendre with 8 nodes per axis over the unit cube in the
     free entries of the unipotent radical (three axes for P0, two for P1 and
-    P2).  Returns the raw average; multiply by completion_factor to compare
-    with the completed constant-term expressions.
+    P2).  The Gram forms of all 8^dim nodes go through one _table_sums pass,
+    and the average is the weighted sum of their values.  Returns the raw
+    average; multiply by completion_factor to compare with the completed
+    constant-term expressions.
     """
     if P not in _UNIPOTENT_SLOTS:
         raise ValueError("P must be one of 'P0', 'P1', 'P2'")
@@ -627,24 +693,15 @@ def constant_term_numeric(
     _check_region(s, t, config)
     table = _coset_table(height, config)
     r = Y.matrix()
-    w_base = r @ r.T
     nodes, weights = np.polynomial.legendre.leggauss(8)
-    nodes01 = 0.5 * (nodes + 1.0)
-    weights01 = 0.5 * weights
-    slots = _UNIPOTENT_SLOTS[P]
-    dim = len(slots)
-    total = 0.0 + 0.0j
-    for idx in np.ndindex(*(8,) * dim):
-        n_mat = np.eye(3)
-        weight = 1.0
-        for (row, col), k in zip(slots, idx):
-            n_mat[row, col] = nodes01[k]
-            weight *= weights01[k]
-        w_form = n_mat @ w_base @ n_mat.T
-        w_inv = np.linalg.inv(w_form)
-        value, _ = _table_sums(table, w_form, w_inv, s, t, 0)
-        total += weight * value
-    return total
+    rows, cols = np.transpose(_UNIPOTENT_SLOTS[P])
+    # product node k takes the Gauss-Legendre node idx[a, k] on axis a
+    idx = np.indices((8,) * len(rows)).reshape(len(rows), -1)
+    n_mats = np.tile(np.eye(3), (idx.shape[1], 1, 1))
+    n_mats[:, rows, cols] = 0.5 * (nodes[idx].T + 1.0)
+    forms = n_mats @ (r @ r.T) @ n_mats.transpose(0, 2, 1)
+    values, _ = _table_sums(table, forms, s, t, 0)
+    return (0.5 * weights[idx]).prod(axis=0) @ values
 
 
 # --- functional-equation report --------------------------------------------

@@ -190,6 +190,20 @@ class TestEis3Commands:
         assert "raw_average" not in payload
         assert payload["formula"] == pytest.approx(0.0041264551, rel=1e-6)
 
+    @pytest.mark.parametrize("action", ["constant", "direct"])
+    def test_bad_height_is_a_typed_error(self, action, capsys):
+        args = ["eis3", action, "--s", "3", "--t", "2", "--parabolic", "P1"]
+        assert run(args + ["--height", "-3"]) == 2
+        assert capsys.readouterr().err == "error: height must be a positive integer\n"
+        # argparse refuses a height that is not an integer
+        assert run(args + ["--height", "2.5"]) == 2
+        assert "invalid int value" in capsys.readouterr().err
+
+    def test_constant_height_zero_means_formula_only(self, capsys):
+        args = ["eis3", "constant", "--s", "3", "--t", "2", "--parabolic", "P1"]
+        assert run(args + ["--height", "0", "--json"]) == 0
+        assert "raw_average" not in json.loads(capsys.readouterr().out)
+
 
 class TestTannakaCommands:
     def test_tensor_library_names(self, capsys):

@@ -205,8 +205,11 @@ class TestDirect:
             )
 
     def test_bad_height(self):
-        with pytest.raises(ValueError):
-            sl3_eisenstein_direct(IDENTITY, 3.0, 2.0, 0, BIG)
+        for height in (0, -3, 2.5):
+            with pytest.raises(ValueError, match="height must be a positive integer"):
+                sl3_eisenstein_direct(IDENTITY, 3.0, 2.0, height, BIG)
+            with pytest.raises(ValueError, match="height must be a positive integer"):
+                constant_term_numeric(IDENTITY, 3.0, 2.0, "P1", height, BIG)
 
     def test_completed_is_exact_scaling(self):
         raw = sl3_eisenstein_direct(IDENTITY, 3.0, 2.0, 12, BIG)
@@ -282,20 +285,76 @@ class TestCosetTable:
     )
     @pytest.mark.parametrize("s, t", [(3.0, 2.0), (2.2 + 0.5j, 1.7 - 0.3j)])
     def test_table_sums_match_per_pair_sum(self, monkeypatch, chunk, y, s, t):
+        # one stack: the identity, the generic point and a unipotent node form of y
         monkeypatch.setattr(eis3, "_SUM_CHUNK", chunk)
         table = _coset_table(8, BIG)
+        node = np.eye(3)
+        node[0, 2], node[1, 2] = 0.3, 0.8
+        r, g = y.matrix(), SL3Point(1.3, 0.8, 0.21, -0.35, 0.4).matrix()
+        forms = np.stack([np.eye(3), g @ g.T, node @ r @ r.T @ node.T])
+        full, half = eis3._table_sums(table, forms, complex(s), complex(t), 4)
+        assert full.shape == half.shape == (3,)
+        for k, w_form in enumerate(forms):
+            terms = _pair_terms(*_pair_rows(table), w_form, s, t)
+            assert abs(full[k] - terms.sum()) <= 1e-13 * abs(terms.sum())
+            expected = terms[table.heights <= 4].sum()
+            assert abs(half[k] - expected) <= 1e-13 * abs(expected)
+        assert not eis3._table_sums(table, forms, complex(s), complex(t), 0)[1].any()
+
+    @pytest.mark.parametrize("P", ["P0", "P1", "P2"])
+    @pytest.mark.parametrize(
+        "y, s, t",
+        [
+            (IDENTITY, 3.0, 2.0),
+            (SL3Point(1.3, 0.8, 0.21, -0.35, 0.4), 2.2 + 0.5j, 1.7 - 0.3j),
+        ],
+        ids=["identity-real", "generic-complex"],
+    )
+    def test_average_is_weighted_sum_of_node_sums(self, P, y, s, t):
+        # every node summed on its own over the brute-force pairs
+        pairs = sorted(oracles.coset_pairs_bruteforce(6))
+        v = np.array([a for a, _, _ in pairs], dtype=float)
+        w = np.array([b for _, b, _ in pairs], dtype=float)
+        slots = {"P0": [(0, 1), (0, 2), (1, 2)], "P1": [(0, 2), (1, 2)],
+                 "P2": [(0, 1), (0, 2)]}[P]
+        nodes, weights = np.polynomial.legendre.leggauss(8)
         r = y.matrix()
-        w_form = r @ r.T
-        w_inv = np.linalg.inv(w_form)
-        v, w = (a.astype(float) for a in _pair_rows(table))
-        n1 = np.einsum("ij,jk,ik->i", v, w_form, v).astype(complex)
-        n2 = np.einsum("ij,jk,ik->i", w, w_inv, w).astype(complex)
-        terms = n1 ** (0.5 * (t - 3.0 * s)) * n2 ** (-t)
-        full, half = eis3._table_sums(table, w_form, w_inv, complex(s), complex(t), 4)
-        assert abs(full - terms.sum()) <= 1e-13 * abs(terms.sum())
-        expected = terms[table.heights <= 4].sum()
-        assert abs(half - expected) <= 1e-13 * abs(expected)
-        assert eis3._table_sums(table, w_form, w_inv, complex(s), complex(t), 0)[1] == 0
+        expected = 0.0
+        for idx in np.ndindex(*(8,) * len(slots)):
+            n_mat = np.eye(3)
+            for (row, col), k in zip(slots, idx):
+                n_mat[row, col] = 0.5 * (nodes[k] + 1.0)
+            w_form = n_mat @ r @ r.T @ n_mat.T
+            weight = np.prod([0.5 * weights[k] for k in idx])
+            expected += weight * _pair_terms(v, w, w_form, s, t).sum()
+        got = constant_term_numeric(y, s, t, P, 6, BIG)
+        assert abs(got - expected) <= 1e-13 * abs(expected)
+
+
+def _pair_terms(v, w, w_form, s, t):
+    """N1^((t-3s)/2) N2^(-t) for every pair, in complex numpy arithmetic."""
+    v, w = v.astype(float), w.astype(float)
+    n1 = np.einsum("ij,jk,ik->i", v, w_form, v).astype(complex)
+    n2 = np.einsum("ij,jk,ik->i", w, np.linalg.inv(w_form), w).astype(complex)
+    return n1 ** (0.5 * (t - 3.0 * s)) * n2 ** (-t)
+
+
+class TestPower:
+    X = np.geomspace(0.05, 1e6, 4000)
+
+    @pytest.mark.parametrize(
+        "e", [-2.0, -3.1, 1.5, -(1.7 - 0.3j), 0.5 + 4j, -(3 + 20j), 2 - 20j, -0.5 + 11.3j]
+    )
+    def test_power_matches_mpmath(self, e):
+        mpmath = pytest.importorskip("mpmath")
+        parts = eis3._power(self.X, complex(e))
+        assert len(parts) == (1 if complex(e).imag == 0 else 2)
+        got = eis3._joined(parts)
+        with mpmath.workdps(40):
+            for x, z in zip(self.X.tolist(), got.tolist()):
+                ref = complex(mpmath.power(mpmath.mpf(x), mpmath.mpc(e)))
+                bound = 4 * 2.0**-52 * (1 + abs(e) * abs(math.log(x)))
+                assert abs(z - ref) <= bound * abs(ref), (x, e)
 
 
 class TestConstantTerms:
