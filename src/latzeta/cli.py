@@ -67,6 +67,8 @@ def load_config(path: str) -> NumericsConfig:
     """Flat key = value file (TOML-compatible subset) over config defaults."""
     overrides = {}
     known = {f.name for f in dataclasses.fields(NumericsConfig)}
+    # bounded refinement loops that a-priori sizing removed; parsed, then ignored
+    legacy = "quadrature_depth"
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -77,14 +79,17 @@ def load_config(path: str) -> NumericsConfig:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip().strip('"').strip("'")
-            if key not in known:
+            if key not in known | {legacy}:
                 raise ConfigParseError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                overrides[key] = int(value) if key in _INT_FIELDS else float(value)
+                is_int = key in _INT_FIELDS or key == legacy
+                overrides[key] = int(value) if is_int else float(value)
             except ValueError:
                 raise ConfigParseError(
                     f"{path}:{lineno}: bad numeric value {value!r} for {key!r}"
                 ) from None
+    if overrides.pop(legacy, 1) < 1:
+        raise ConfigParseError(f"{path}: {legacy} must be a positive integer")
     try:
         return NumericsConfig(**overrides)
     except ValueError as exc:
@@ -224,7 +229,7 @@ def _cmd_eis3(args, config) -> int:
     t = parse_complex(args.t)
     if args.action in ("direct", "completed"):
         fn = sl3_eisenstein_direct if args.action == "direct" else sl3_completed
-        v = fn(point, s, t, args.height or 12, config)
+        v = fn(point, s, t, 12 if args.height is None else args.height, config)
         payload = {
             "value": complex_to_json(complex(v)),
             "estimate": v.estimate,
@@ -242,7 +247,7 @@ def _cmd_eis3(args, config) -> int:
             )
         payload = {"parabolic": args.parabolic, "formula": complex_to_json(formula)}
         plain = f"formula={_fmt(formula)}"
-        if args.height:
+        if args.height is not None:
             avg = constant_term_numeric(point, s, t, args.parabolic, args.height, config)
             payload["raw_average"] = complex_to_json(avg)
             plain += f" raw_average={_fmt(avg)}"

@@ -35,6 +35,7 @@ from .lattice import Lattice, minkowski_point
 from .numerics import (
     DEFAULT_CONFIG,
     NumericsConfig,
+    _gl_panels,
     _k_bessel_many,
     gamma_complex,
     sigma_divisor,
@@ -132,13 +133,10 @@ def _fourier_tail(
     Points are processed in blocks so the Bessel quadrature's (points x nodes)
     work array stays small.
     """
-    block = 4096
-    if len(ys) <= block:
-        return _fourier_tail_chunk(xs, ys, s, config)
     out = np.empty(len(ys), dtype=complex)
-    for lo in range(0, len(ys), block):
-        hi = min(lo + block, len(ys))
-        out[lo:hi] = _fourier_tail_chunk(xs[lo:hi], ys[lo:hi], s, config)
+    for lo in range(0, len(ys), 4096):
+        block = slice(lo, lo + 4096)
+        out[block] = _fourier_tail_chunk(xs[block], ys[block], s, config)
     return out
 
 
@@ -196,66 +194,44 @@ def closed_form_IT(
     ) * t_dn / s
 
 
-def _geo_panels(T: float, splits: int) -> list[tuple[float, float, float, float]]:
-    """(x0, x1, y_kind, y1) panels; y_kind < 0 marks 'lower edge is the unit
-    circle', otherwise it is the constant y0."""
-    xs = np.linspace(-0.5, 0.5, 2 * splits + 1)
-    panels = []
-    for x0, x1 in zip(xs, xs[1:]):
-        panels.append((float(x0), float(x1), -1.0, min(1.0, T)))
-    if T > 1.0:
-        ys = np.linspace(1.0, T, splits + 1)
-        for y0, y1 in zip(ys, ys[1:]):
-            for x0, x1 in zip(xs, xs[1:]):
-                panels.append((float(x0), float(x1), float(y0), float(y1)))
-    return panels
+def _geo_nodes(T: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre (x, y, weight / y^2) of one order on the height-T cut.
 
-
-def _geo_level(s: complex, T: float, order: int, splits: int, config: NumericsConfig) -> complex:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    xs_all = []
-    ys_all = []
-    ws_all = []
-    for x0, x1, y_kind, y1 in _geo_panels(T, splits):
-        hx = 0.5 * (x1 - x0)
-        cx = 0.5 * (x1 + x0)
-        px = cx + hx * nodes
-        for xv, wx in zip(px, weights):
-            y0 = math.sqrt(max(0.0, 1.0 - xv * xv)) if y_kind < 0 else y_kind
-            if y1 - y0 < 1e-15:
-                continue
-            hy = 0.5 * (y1 - y0)
-            cy = 0.5 * (y1 + y0)
-            xs_all.append(np.full(order, xv))
-            ys_all.append(cy + hy * nodes)
-            ws_all.append(wx * hx * weights * hy)
-    xs_arr = np.concatenate(xs_all)
-    ys_arr = np.concatenate(ys_all)
-    ws_arr = np.concatenate(ws_all)
-    vals = _fourier_tail(xs_arr, ys_arr, s, config) + (
-        xi_completed(2 * s, config) * ys_arr ** complex(s)
-        + xi_completed(2 - 2 * s, config) * ys_arr ** complex(1 - s)
-    )
-    return complex(np.sum(vals * ws_arr / ys_arr**2))
+    Two x-panels, [-1/2, 0] and [0, 1/2]; above each x node, y-panels from the
+    unit circle to 1, then between the edges 1, 2, 4, ..., T, so that every
+    y-panel sits at the same relative distance from the y = 0 singularity of
+    y^{s-2} and y^{-1-s}.
+    """
+    px, wx = _gl_panels((-0.5, 0.0, 0.5), order)
+    y_edges = [min(2.0**k, T) for k in range(math.ceil(math.log2(T)) + 1)]
+    columns = [_gl_panels((math.sqrt(1.0 - x * x), *y_edges), order) for x in px]
+    ys = np.concatenate([y for y, _ in columns])
+    ws = np.concatenate([wxk * w / (y * y) for wxk, (y, w) in zip(wx, columns)])
+    return np.repeat(px, len(ys) // len(px)), ys, ws
 
 
 def _geo_integral_estimate(
     s: complex, T: float, config: NumericsConfig
 ) -> tuple[complex, float]:
+    """Order-64 tensor rule and |Q_64 - Q_32| as its error estimate.
+
+    Both rules share one Fourier-tail pass and one xi(2s), xi(2-2s); an
+    estimate over abs_tol/10 raises QuadratureBudget.
+    """
     s = complex(s)
     if T < 1.0:
         raise ValueError("truncation height must be >= 1")
     _check_guard(s, config)
-    splits = 1
-    prev = _geo_level(s, T, 64, splits, config)
-    for _ in range(config.quadrature_depth):
-        splits *= 2
-        cur = _geo_level(s, T, 64, splits, config)
-        err = abs(cur - prev)
-        if err < config.abs_tol / 10.0:
-            return cur, err
-        prev = cur
-    raise QuadratureBudget("height-T integral did not stabilize within depth")
+    x_hi, y_hi, w_hi = _geo_nodes(T, 64)
+    x_lo, y_lo, w_lo = _geo_nodes(T, 32)
+    xs = np.concatenate([x_hi, x_lo])
+    ys = np.concatenate([y_hi, y_lo])
+    vals = _fourier_tail(xs, ys, s, config) + _a0(ys, s, config)
+    value = complex(vals[: len(w_hi)] @ w_hi)
+    err = abs(value - complex(vals[len(w_hi) :] @ w_lo))
+    if err > config.abs_tol / 10.0:
+        raise QuadratureBudget(f"height-T integral estimate {err:.1e} over abs_tol/10")
+    return value, err
 
 
 def geo_truncated_integral_numeric(

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ConvergenceRegion, EnumerationOverflow, PoleProximity
 from .halfplane import UpperHalfPoint
-from .numerics import DEFAULT_CONFIG, NumericsConfig, pow_pos, xi_completed
+from .numerics import DEFAULT_CONFIG, NumericsConfig, _gl_nodes, pow_pos, xi_completed
 
 __all__ = [
     "SL3Point",
@@ -693,7 +693,7 @@ def constant_term_numeric(
     _check_region(s, t, config)
     table = _coset_table(height, config)
     r = Y.matrix()
-    nodes, weights = np.polynomial.legendre.leggauss(8)
+    nodes, weights = _gl_nodes(8)
     rows, cols = np.transpose(_UNIPOTENT_SLOTS[P])
     # product node k takes the Gauss-Legendre node idx[a, k] on axis a
     idx = np.indices((8,) * len(rows)).reshape(len(rows), -1)

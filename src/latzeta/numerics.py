@@ -18,6 +18,13 @@ and exact divisor power sums.  All approximate routines honor the tolerances
 in NumericsConfig and raise PoleProximity inside guard disks instead of
 returning garbage near poles.
 
+The theta integral of xi is one Gauss-Legendre pass on fixed panels.  Each
+panel's order is set in advance by the Bernstein-ellipse bound
+(64/15) h M rho^{-2n} / (rho^2 - 1) (Trefethen, SIAM Review 50, 2008,
+Thm 4.5), with M from |omega(u)| <= sum_n e^{-pi n^2 Re u} and
+|u^a| <= |u|^{Re a} e^{|Im a| |arg u|}, so it grows with |Im s|; past order
+512 (near |Im s| = 3000) the pass raises QuadratureBudget.
+
 The K-Bessel trapezoid is one pass whose step h is fixed in advance by the
 strip bound e^{-2 pi a/h} e^{|Im nu| a} (1/cos a)^{|Re nu|}, a = 1 (Trefethen &
 Weideman, SIAM Review 56, 2014); it raises QuadratureBudget where its rounding
@@ -52,13 +59,12 @@ __all__ = [
 class NumericsConfig:
     """Knobs for every approximate operation.
 
-    abs_tol: target absolute accuracy of special-function values.
+    abs_tol: target absolute accuracy of special-function values.  Rules are
+        sized from it in advance: xi takes per panel the Gauss-Legendre order
+        whose Bernstein-ellipse bound keeps the sum under abs_tol/10.
     series_cutoff_margin: convergence-region safety margin (series are
         refused when the defining exponent is within this margin of the
         boundary of absolute convergence).
-    quadrature_depth: maximum number of refinement doublings before
-        xi_completed, eis2._geo_integral_estimate or zeta.zeta_rank1_numeric
-        gives up and raises QuadratureBudget.
     pole_guard_radius: evaluators refuse to run inside disks of this radius
         around poles (PoleProximity).
     vector_budget: hard cap on the number of lattice points any single
@@ -67,7 +73,6 @@ class NumericsConfig:
 
     abs_tol: float = 1e-12
     series_cutoff_margin: float = 0.1
-    quadrature_depth: int = 6
     pole_guard_radius: float = 1e-8
     vector_budget: int = 5_000_000
 
@@ -76,8 +81,6 @@ class NumericsConfig:
             raise ValueError("abs_tol must be positive")
         if self.pole_guard_radius <= 0:
             raise ValueError("pole_guard_radius must be positive")
-        if self.quadrature_depth < 1:
-            raise ValueError("quadrature_depth must be a positive integer")
         if self.vector_budget < 1:
             raise ValueError("vector_budget must be a positive integer")
 
@@ -135,33 +138,71 @@ def gamma_complex(s: complex, config: NumericsConfig = DEFAULT_CONFIG) -> comple
     return _gamma_positive(s)
 
 
+# ---------- Gauss-Legendre ----------
+
+_GL_MAX_ORDER = 512
+
+
+@lru_cache(maxsize=None)
+def _gl_nodes(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(order)
+
+
+def _gl_panels(edges, orders) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite rule with orders[k] Gauss-Legendre
+    nodes on [edges[k], edges[k+1]]; one int order serves every panel."""
+    us, ws = [], []
+    for a, b, order in zip(edges, edges[1:], np.broadcast_to(orders, len(edges) - 1)):
+        x, w = _gl_nodes(int(order))
+        us.append(0.5 * (a + b) + 0.5 * (b - a) * x)
+        ws.append(0.5 * (b - a) * w)
+    return np.concatenate(us), np.concatenate(ws)
+
+
+def _gl_orders(edges, exponents, log_weight, tol: float) -> tuple[int, ...]:
+    """Order for each panel between edges > 0 from the Bernstein-ellipse bound.
+
+    The integrand is w(u) sum_k u^{a_k}.  On an ellipse with least real part r,
+    largest |Im u| m and largest |u| R, log_weight(r, m, R) bounds log |w| and
+    |u^a| <= (R or r)^{Re a} e^{|Im a| atan(m/r)}.  Each panel tries seven
+    ellipses inside Re u > 0 and keeps the least order that brings the bound
+    under tol, rounded up to a multiple of 8 so nearby arguments share tables.
+    """
+    e = np.asarray(edges, dtype=float)
+    c = 0.5 * (e[1:] + e[:-1])[:, None]
+    h = 0.5 * (e[1:] - e[:-1])[:, None]
+    beta = np.arccosh(c / h) * (np.arange(1, 8) / 8.0)
+    r = c - h * np.cosh(beta)
+    m = h * np.sinh(beta)
+    big_r = c + h * np.cosh(beta)
+    log_pow = [
+        a.real * np.log(big_r if a.real >= 0.0 else r) + abs(a.imag) * np.arctan2(m, r)
+        for a in map(complex, exponents)
+    ]
+    log_m = log_weight(r, m, big_r) + np.logaddexp.reduce(log_pow)
+    n = (np.log(64.0 / 15.0 * h / tol) + log_m - np.log(np.expm1(2.0 * beta))) / (2.0 * beta)
+    n = n.min(axis=1)
+    if not np.all(n <= _GL_MAX_ORDER):
+        raise QuadratureBudget(f"Gauss-Legendre order {np.max(n):.0f} is over {_GL_MAX_ORDER}")
+    return tuple(8 * math.ceil(max(k, 1.0) / 8.0) for k in n)
+
+
 # ---------- completed zeta ----------
 
 
-def _omega(u: float) -> float:
-    # sum_{n>=1} exp(-pi n^2 u); u >= 1 so six terms reach ~1e-40
-    return math.fsum(math.exp(-math.pi * n * n * u) for n in range(1, 7))
+def _log_omega_bound(r, _m, _big_r):
+    # |omega(u)| <= sum_n e^{-pi n^2 r} <= e^{-pi r} / (1 - e^{-3 pi r}), as n^2 >= 3n - 2
+    return -math.pi * r - np.log(-np.expm1(-3.0 * math.pi * r))
 
 
-@lru_cache(maxsize=16)
-def _gl_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-def _xi_integral(s: complex, upper: float, order: int) -> complex:
-    # int_1^upper omega(u) (u^{s/2} + u^{(1-s)/2}) du/u on fixed panels
-    cuts = (1.0, 1.7, 3.0, 6.0, upper)
-    x, w = _gl_nodes(order)
-    total = 0.0 + 0.0j
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        u = mid + half * x
-        om = np.array([_omega(float(ui)) for ui in u])
-        lu = np.log(u)
-        vals = om * (np.exp((s / 2.0) * lu) + np.exp(((1.0 - s) / 2.0) * lu)) / u
-        total += half * complex(np.sum(w * vals))
-    return total
+@lru_cache(maxsize=64)
+def _xi_table(cuts: tuple[float, ...], orders: tuple[int, ...]):
+    """(log u, omega(u) weight / u) at every node of the panels between cuts."""
+    u, w = _gl_panels(cuts, orders)
+    # omega(u) = sum_{n>=1} exp(-pi n^2 u); u >= 1 so six terms reach ~1e-40
+    omega = np.exp(-math.pi * np.outer(u, np.arange(1, 7) ** 2)).sum(axis=1)
+    return np.log(u), omega * w / u
 
 
 def xi_completed(s: complex, config: NumericsConfig = DEFAULT_CONFIG) -> complex:
@@ -169,23 +210,21 @@ def xi_completed(s: complex, config: NumericsConfig = DEFAULT_CONFIG) -> complex
 
     The representation is valid for every s away from the poles at 0 and 1,
     and the functional equation xi(s) = xi(1-s) holds exactly because the
-    integrand is literally symmetric in s <-> 1-s.
+    integrand is literally symmetric in s <-> 1-s.  One Gauss-Legendre pass
+    on the panels 1, 1.7, 3, 6, U, each order from _gl_orders.
     """
     s = complex(s)
     if abs(s) < config.pole_guard_radius or abs(s - 1.0) < config.pole_guard_radius:
         raise PoleProximity(f"xi pole guard at s = {s}")
     sigma = max(abs(s.real), abs(1.0 - s.real))
-    upper = 12.0 + max(0.0, sigma - 6.0)
-    pole_part = -1.0 / s - 1.0 / (1.0 - s)
-    prev = None
-    order = 64
-    for _ in range(config.quadrature_depth):
-        val = _xi_integral(s, upper, order)
-        if prev is not None and abs(val - prev) < config.abs_tol / 10.0:
-            return pole_part + val
-        prev = val
-        order *= 2
-    raise QuadratureBudget(f"xi integral did not stabilize at s = {s}")
+    cuts = (1.0, 1.7, 3.0, 6.0, 12.0 + max(0.0, sigma - 6.0))
+    a, b = s / 2.0, (1.0 - s) / 2.0
+    tol = config.abs_tol / (10.0 * (len(cuts) - 1))
+    # the 1/u of du/u rides on the exponents
+    orders = _gl_orders(cuts, (a - 1.0, b - 1.0), _log_omega_bound, tol)
+    log_u, weights = _xi_table(cuts, orders)
+    integral = weights @ (np.exp(a * log_u) + np.exp(b * log_u))
+    return -1.0 / s - 1.0 / (1.0 - s) + complex(integral)
 
 
 # ---------- K-Bessel ----------

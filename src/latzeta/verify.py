@@ -37,7 +37,7 @@ from .eis3 import (
 from .errors import SingularBasis
 from .jsonio import check_entry
 from .lattice import Lattice, degree, riemann_roch
-from .numerics import DEFAULT_CONFIG, NumericsConfig, xi_completed
+from .numerics import DEFAULT_CONFIG, NumericsConfig, _gl_panels, xi_completed
 from .stability import (
     Flag,
     Polygon,
@@ -187,9 +187,7 @@ def _suite_fourier(config):
 
 
 def _suite_truncation(config):
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-    xs = 0.5 * (nodes + 1.0)
-    ws = 0.5 * weights
+    xs, ws = _gl_panels((0.0, 1.0), 32)
     T = 1.3
     rows = []
     for s in (2.0, 2.5 + 0.7j):

@@ -21,9 +21,9 @@ import math
 
 import numpy as np
 
-from .errors import ContourFailure, ConvergenceRegion, LatzetaError, QuadratureBudget
+from .errors import ContourFailure, ConvergenceRegion, LatzetaError
 from .eis2 import closed_form_IT, geo_truncated_integral_numeric
-from .numerics import DEFAULT_CONFIG, NumericsConfig
+from .numerics import DEFAULT_CONFIG, NumericsConfig, _gl_orders, _gl_panels
 
 __all__ = [
     "zeta_rank1_numeric",
@@ -34,15 +34,13 @@ __all__ = [
 ]
 
 
-def _theta_minus_one(v: np.ndarray, abs_tol: float) -> np.ndarray:
-    # theta(V^2) - 1 = 2 sum_{n>=1} exp(-pi n^2 V^2) for V >= 1
-    n_max = 1
-    while math.exp(-math.pi * (n_max + 1) ** 2) > abs_tol * 1e-3:
-        n_max += 1
-    acc = np.zeros_like(v)
-    for n in range(1, n_max + 1):
-        acc += np.exp(-math.pi * n * n * v * v)
-    return 2.0 * acc
+def _log_theta_bound(r, m, _big_r):
+    # |theta(V^2) - 1| <= 2 e^{-pi q} / (1 - e^{-3 pi q}) with q = r^2 - m^2 <= Re V^2,
+    # as n^2 >= 3n - 2; no bound where q <= 0
+    q = r * r - m * m
+    qc = np.maximum(q, 1e-300)
+    log_sum = -math.pi * qc - np.log(-np.expm1(-3.0 * math.pi * qc))
+    return np.where(q > 0.0, math.log(2.0) + log_sum, np.inf)
 
 
 def zeta_rank1_numeric(
@@ -52,37 +50,24 @@ def zeta_rank1_numeric(
 
     After folding: int_1^inf (theta(V^2)-1)(V^{s-1} + V^{-s}) dV
                    + 1/(s-1) - 1/s,  for Re(s) > 1 + margin.
+    One Gauss-Legendre panel on [1, U], its order sized by the
+    Bernstein-ellipse bound to abs_tol/10 (numerics._gl_orders).
     """
     s = complex(s)
     if s.real <= 1.0 + config.series_cutoff_margin:
         raise ConvergenceRegion(
             f"rank-1 moduli integral needs Re(s) > {1.0 + config.series_cutoff_margin}"
         )
-    upper = math.sqrt((-math.log(config.abs_tol * 1e-3) / math.pi)) + 1.0
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-
-    def level(panels: int) -> complex:
-        edges = np.linspace(1.0, upper, panels + 1)
-        total = 0.0 + 0.0j
-        for a, b in zip(edges, edges[1:]):
-            h = 0.5 * (b - a)
-            c = 0.5 * (b + a)
-            v = c + h * nodes
-            f = _theta_minus_one(v, config.abs_tol) * (
-                v ** complex(s - 1) + v ** complex(-s)
-            )
-            total += h * complex(np.sum(weights * f))
-        return total
-
-    prev = level(2)
-    panels = 2
-    for _ in range(config.quadrature_depth):
-        panels *= 2
-        cur = level(panels)
-        if abs(cur - prev) < config.abs_tol / 10.0:
-            return cur + 1.0 / (s - 1.0) - 1.0 / s
-        prev = cur
-    raise QuadratureBudget("rank-1 moduli integral did not stabilize")
+    # e^{-pi depth^2} = abs_tol / 1000 cuts both the theta series and the V range
+    depth = math.sqrt(-math.log(config.abs_tol * 1e-3) / math.pi)
+    edges = (1.0, depth + 1.0)
+    order = _gl_orders(edges, (s - 1.0, -s), _log_theta_bound, config.abs_tol / 10.0)
+    v, w = _gl_panels(edges, order)
+    # theta(V^2) - 1 = 2 sum_{n>=1} exp(-pi n^2 V^2)
+    n2 = np.arange(1, max(2, math.ceil(depth))) ** 2
+    theta = 2.0 * np.exp(-math.pi * np.outer(v * v, n2)).sum(axis=1)
+    f = theta * (v ** complex(s - 1) + v ** complex(-s))
+    return complex(w @ f) + 1.0 / (s - 1.0) - 1.0 / s
 
 
 def zeta_rank2(s: complex, config: NumericsConfig = DEFAULT_CONFIG) -> complex:
@@ -127,11 +112,6 @@ def _volume_quadrature(T: float, config: NumericsConfig = DEFAULT_CONFIG) -> flo
     """Independent dx dy / y^2 quadrature of the same region (for checks)."""
     if T < 1.0:
         raise ValueError("height must be >= 1")
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    xs = 0.0 + 0.5 * (nodes + 1.0) * 0.5  # [0, 1/2], doubled by symmetry
-    total = 0.0
-    for x, wx in zip(xs, weights):
-        y0 = math.sqrt(1.0 - x * x)
-        # int_{y0}^{T} y^{-2} dy = 1/y0 - 1/T
-        total += wx * 0.25 * (1.0 / y0 - 1.0 / T)
-    return 2.0 * total
+    xs, ws = _gl_panels((0.0, 0.5), 64)  # doubled by symmetry
+    # int_{y0}^{T} y^{-2} dy = 1/y0 - 1/T
+    return 2.0 * float(ws @ (1.0 / np.sqrt(1.0 - xs * xs) - 1.0 / T))

@@ -33,7 +33,7 @@ class TestLoadConfig:
         cfg = load_config(str(p))
         assert cfg.abs_tol == 1e-10
         assert cfg.vector_budget == 1000
-        assert cfg.quadrature_depth == DEFAULT_CONFIG.quadrature_depth
+        assert cfg.pole_guard_radius == DEFAULT_CONFIG.pole_guard_radius
 
     def test_malformed_line_names_the_line(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -46,6 +46,19 @@ class TestLoadConfig:
         p.write_text("no_such_knob = 3\n")
         with pytest.raises(ConfigParseError, match="no_such_knob"):
             load_config(str(p))
+
+    @pytest.mark.parametrize("value, code", [("6", 0), ("0", 2), ("x", 2), ("2.5", 2)])
+    def test_legacy_quadrature_depth(self, tmp_path, capsys, value, code):
+        # the key no longer configures anything, but old files parse as before
+        p = tmp_path / "legacy.cfg"
+        p.write_text(f"quadrature_depth = {value}\n")
+        assert run(["--config", str(p), "zeta", "volume", "--T", "2"]) == code
+        if code == 0:
+            assert load_config(str(p)) == DEFAULT_CONFIG
+        else:
+            assert "quadrature_depth" in capsys.readouterr().err
+            with pytest.raises(ConfigParseError, match="quadrature_depth"):
+                load_config(str(p))
 
     def test_bad_value(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -199,10 +212,14 @@ class TestEis3Commands:
         assert run(args + ["--height", "2.5"]) == 2
         assert "invalid int value" in capsys.readouterr().err
 
-    def test_constant_height_zero_means_formula_only(self, capsys):
-        args = ["eis3", "constant", "--s", "3", "--t", "2", "--parabolic", "P1"]
-        assert run(args + ["--height", "0", "--json"]) == 0
-        assert "raw_average" not in json.loads(capsys.readouterr().out)
+    @pytest.mark.parametrize("action", ["constant", "direct"])
+    def test_height_zero_is_refused(self, action, capsys):
+        # 0 is a height, not "no height": neither a default sum nor formula only
+        args = ["eis3", action, "--s", "3", "--t", "2", "--parabolic", "P1", "--json"]
+        assert run(args + ["--height", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: height must be a positive integer\n"
+        assert captured.out == ""
 
 
 class TestTannakaCommands:

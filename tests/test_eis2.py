@@ -214,3 +214,13 @@ class TestGridRows:
             }
             assert row["abs_err_estimate"] < 1e-10
         assert abs(rows[0]["value_re"] - closed_form_IT(2.0, 1.0).real) < 1e-9
+
+    @pytest.mark.parametrize("T", [1.0, 3.0, 10.0, 50.0])
+    def test_estimate_covers_error_at_large_heights(self, T):
+        # y-panels with doubling edges keep the order-32 rule accurate at
+        # T = 50, where one panel on [1, T] is 5e-7 off
+        points = [(s, T) for s in (2.0, 2.5, complex(1.5, 2.0), complex(0.7, 3.0))]
+        for (s, _), row in zip(points, eq4_grid_rows(points)):
+            value = complex(row["value_re"], row["value_im"])
+            assert abs(value - closed_form_IT(s, T)) <= row["abs_err_estimate"] + 1e-13
+            assert row["abs_err_estimate"] < 1e-10

@@ -94,6 +94,22 @@ class TestXi:
             with pytest.raises(PoleProximity):
                 xi_completed(bad)
 
+    @pytest.mark.parametrize(
+        "s",
+        [complex(re, im) for re in (-5, -2, 0.5, 2, 4.4, 6) for im in (0.3, 8, 30, 100, 400)],
+    )
+    def test_matches_mpmath(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            z = mpmath.mpc(s)
+            ref = complex(mpmath.pi ** (-z / 2) * mpmath.gamma(z / 2) * mpmath.zeta(z))
+        assert abs(xi_completed(s) - ref) <= 1e-12
+
+    def test_order_cap_raises(self):
+        # the ellipse bound asks for about 690 nodes a panel here, over the cap
+        with pytest.raises(QuadratureBudget):
+            xi_completed(0.5 + 5000j)
+
 
 def _k_grid() -> list[tuple[complex, float]]:
     # Re nu, Im nu in [0, 5], y log-uniform in [0.05, 60], rounded for stable ids

@@ -35,6 +35,10 @@ class TestRankOne:
         s = 2.0 + 1.0j
         assert abs(zeta_rank1_numeric(s) - xi_completed(s)) < 1e-6
 
+    def test_large_imaginary_part(self):
+        for s in (2.0 + 30.0j, 6.0 + 10.0j, 1.2 + 5.0j):
+            assert abs(zeta_rank1_numeric(s) - xi_completed(s)) < 1e-10
+
     def test_divergent_region_rejected(self):
         with pytest.raises(ConvergenceRegion):
             zeta_rank1_numeric(1.05)
