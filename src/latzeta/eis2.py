@@ -216,7 +216,9 @@ def _geo_integral_estimate(
     """Order-64 tensor rule and |Q_64 - Q_32| as its error estimate.
 
     Both rules share one Fourier-tail pass and one xi(2s), xi(2-2s); an
-    estimate over abs_tol/10 raises QuadratureBudget.
+    estimate over abs_tol/10 relative to max(1, |value|) raises
+    QuadratureBudget, since |I_T| grows like T^(Re s - 1) and rounding alone
+    passes an absolute bound there.
     """
     s = complex(s)
     if T < 1.0:
@@ -229,8 +231,8 @@ def _geo_integral_estimate(
     vals = _fourier_tail(xs, ys, s, config) + _a0(ys, s, config)
     value = complex(vals[: len(w_hi)] @ w_hi)
     err = abs(value - complex(vals[len(w_hi) :] @ w_lo))
-    if err > config.abs_tol / 10.0:
-        raise QuadratureBudget(f"height-T integral estimate {err:.1e} over abs_tol/10")
+    if err > config.abs_tol / 10.0 * max(1.0, abs(value)):
+        raise QuadratureBudget(f"height-T integral estimate {err:.1e} over abs_tol/10 relative")
     return value, err
 
 

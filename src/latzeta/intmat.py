@@ -1,13 +1,20 @@
-"""Exact integer matrix utilities: Hermite form, kernels, saturation.
+"""Exact integer matrix utilities: Hermite form, containment and minors.
 
 Everything operates on small matrices (dimensions <= 4 in this package, <= 3
 ambient for the flag enumeration), with arbitrary-precision Python integers,
 so the textbook algorithms are the right tool.  Rows are the acting objects
 throughout: a "lattice" here is the set of integer combinations of the rows.
+
+Every determinant is a Bareiss elimination, and the other exact operations
+are built from its minors: the adjugate gives M^-1 = adj(M) / det(M), and
+the gcd of the k x k minors of k rows, the product of their Smith
+invariants, is 0 when the rows are dependent and 1 exactly when they span
+a primitive sublattice.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
 
 IntMatrix = list[list[int]]
@@ -65,78 +72,6 @@ def row_hnf(mat) -> IntMatrix:
     return [row for row in m[:pivot_row] if any(row)]
 
 
-def right_kernel_basis(mat) -> IntMatrix:
-    """Primitive basis (as rows) of {x in Z^n : mat . x = 0}.
-
-    Column reduction with a unimodular transform; the transform columns over
-    the vanished columns form a basis of the kernel, automatically spanning a
-    saturated sublattice.
-    """
-    m = [list(map(int, row)) for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    trans = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def col_op(j: int, k: int, q: int) -> None:
-        # column_j -= q * column_k
-        for i in range(rows):
-            m[i][j] -= q * m[i][k]
-        for i in range(cols):
-            trans[i][j] -= q * trans[i][k]
-
-    def col_swap(j: int, k: int) -> None:
-        for i in range(rows):
-            m[i][j], m[i][k] = m[i][k], m[i][j]
-        for i in range(cols):
-            trans[i][j], trans[i][k] = trans[i][k], trans[i][j]
-
-    pivot_col = 0
-    for row in range(rows):
-        if pivot_col >= cols:
-            break
-        while True:
-            nonzero = [j for j in range(pivot_col, cols) if m[row][j] != 0]
-            if not nonzero:
-                break
-            j_min = min(nonzero, key=lambda j: abs(m[row][j]))
-            col_swap(pivot_col, j_min)
-            done = True
-            for j in range(pivot_col + 1, cols):
-                if m[row][j] != 0:
-                    q = m[row][j] // m[row][pivot_col]
-                    col_op(j, pivot_col, q)
-                    if m[row][j] != 0:
-                        done = False
-            if done:
-                break
-        if any(m[row][j] != 0 for j in range(pivot_col, cols)):
-            pivot_col += 1
-    # all columns >= pivot_col are zero by construction
-    kernel_cols = list(range(pivot_col, cols))
-    return [[trans[i][j] for i in range(cols)] for j in kernel_cols]
-
-
-def saturate(mat) -> IntMatrix:
-    """Basis of the smallest primitive sublattice containing the row span.
-
-    x lies in the rational row span iff it kills the integer kernel of the
-    row span's orthogonal pairing, so two kernel computations do the job.
-    """
-    mat = [list(map(int, row)) for row in mat]
-    if not mat:
-        return []
-    cols = len(mat[0])
-    ker = right_kernel_basis(mat)  # rows spanning {c : mat . c = 0}
-    if not ker:
-        return [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    return row_hnf(right_kernel_basis(ker))
-
-
-def is_primitive(mat) -> bool:
-    """True iff the rows span a saturated (torsion-free quotient) sublattice."""
-    return row_hnf(saturate(mat)) == row_hnf(mat)
-
-
 def contains(outer, inner) -> bool:
     """True iff every row of inner lies in the integer row span of outer."""
     h = row_hnf(outer)
@@ -170,6 +105,8 @@ def bareiss_det(mat) -> int:
     """
     a = [list(map(int, row)) for row in mat]
     n = len(a)
+    if n == 0:
+        return 1
     sign, prev = 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:
@@ -183,6 +120,27 @@ def bareiss_det(mat) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def adjugate(mat) -> IntMatrix:
+    """adj(M), entry (i, j) the signed minor of M without row j and column i."""
+    m = [list(map(int, row)) for row in mat]
+    n = len(m)
+
+    def minor(i: int, j: int) -> int:
+        return bareiss_det([row[:i] + row[i + 1 :] for k, row in enumerate(m) if k != j])
+
+    return [[(-1) ** (i + j) * minor(i, j) for j in range(n)] for i in range(n)]
+
+
+def maximal_minor_gcd(mat) -> int:
+    """gcd of the k x k minors of k integer rows (0 iff they are dependent).
+
+    The rows span a primitive sublattice of Z^n iff this is 1.
+    """
+    k, n = len(mat), len(mat[0])
+    minors = (bareiss_det([[row[j] for j in cols] for row in mat]) for cols in combinations(range(n), k))
+    return gcd(*minors)
 
 
 def primitive_vector(vec) -> list[int]:

@@ -10,13 +10,16 @@ inverse), and the cohomology counts are log-theta sums
 so h0 - h1 - deg == 0 is exactly Poisson summation and doubles as the
 module's global self-test.
 
-Exact work runs on one integer Gram matrix: the rational Gram is G_int / den
-with den the lcm of its entry denominators, built on first use.  A norm
-x^T G x is the integer x^T G_int x over den, and a determinant is a Bareiss
-elimination of an integer matrix (intmat.bareiss_det).  Vector enumeration
-is Fincke-Pohst from a float Cholesky factor, expanded one coordinate level
-at a time over all prefixes at once and filtered by the integer norm, so no
-vector inside the bound is ever missed or misreported.
+Exact work runs on integer matrices: a rational matrix is M / den with den
+the lcm of its entry denominators.  The Gram is G_int / den, built on first
+use, and a norm x^T G x is the integer x^T G_int x over den.  A basis
+B = M / den has Gram M M^T / den^2.  A determinant is a Bareiss elimination
+(intmat.bareiss_det), and duality is the adjugate built from its minors:
+B^-1 = den adj(M) / det(M), whose transpose is the dual basis, and the dual
+Gram is den adj(G_int) / det(G_int).  Vector enumeration is Fincke-Pohst
+from a float Cholesky factor, expanded one coordinate level at a time over
+all prefixes at once and filtered by the integer norm, so no vector inside
+the bound is ever missed or misreported.
 
 theta_h0 enumerates once, at the radius where Banaszczyk's Gaussian tail
 bound (Math. Ann. 296, 1993, Lemma 1.5) holds the truncation error of h0
@@ -35,7 +38,7 @@ import numpy as np
 
 from .errors import EnumerationOverflow, NonConvergence, SingularBasis
 from .halfplane import UpperHalfPoint
-from .intmat import bareiss_det, row_hnf
+from .intmat import adjugate, bareiss_det, row_hnf
 from .jsonio import frac_to_str, str_to_frac
 from .numerics import DEFAULT_CONFIG, NumericsConfig
 
@@ -73,35 +76,6 @@ def _scaled_integer(m: FracMatrix) -> tuple[IntMatrix, int]:
     return tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in m), den
 
 
-def _inv_frac(m: FracMatrix) -> FracMatrix:
-    n = len(m)
-    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularBasis("matrix is singular")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
-def _mat_mul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)) for i in range(n)
-    )
-
-
-def _transpose(m: FracMatrix) -> FracMatrix:
-    return tuple(zip(*m))
-
-
 def _log_frac(q: Fraction) -> float:
     if q <= 0:
         raise ValueError("log of nonpositive rational")
@@ -127,9 +101,10 @@ class Lattice:
         r = len(b)
         if not 1 <= r <= 4:
             raise ValueError(f"rank must be in 1..4, got {r}")
-        if bareiss_det(_scaled_integer(b)[0]) == 0:
+        m, den = _scaled_integer(b)
+        if bareiss_det(m) == 0:
             raise SingularBasis("basis rows are linearly dependent")
-        g = _mat_mul(b, _transpose(b))
+        g = tuple(tuple(Fraction(sum(x * y for x, y in zip(u, v)), den * den) for v in m) for u in m)
         return Lattice(rank=r, gram=g, basis=b)
 
     @staticmethod
@@ -207,10 +182,14 @@ def degree(L: Lattice) -> float:
 
 
 def dual(L: Lattice) -> Lattice:
-    if L.basis is not None:
-        b = _transpose(_inv_frac(L.basis))
-        return Lattice.from_basis(b)
-    return Lattice.from_gram(_inv_frac(L.gram))
+    """Inverse-transpose basis, or inverse Gram: (M / den)^-1 = den adj(M) / det(M)."""
+    m, den = L._int_gram if L.basis is None else _scaled_integer(L.basis)
+    adj = adjugate(m)
+    det = sum(a * row[0] for a, row in zip(m[0], adj))
+    inv = [[Fraction(den * v, det) for v in row] for row in adj]
+    if L.basis is None:
+        return Lattice.from_gram(inv)
+    return Lattice.from_basis(list(zip(*inv)))
 
 
 def _enumerate_classes(

@@ -8,14 +8,17 @@ decreasing).  Sublattice search is provably complete at rank <= 4:
 
   * rank-1 candidates are primitive vectors inside the Hermite ball
     gamma_r * covol^{2/r} with gamma_r = (4/3)^{(r-1)/2};
-  * corank-1 candidates are kernels of primitive dual vectors inside the
-    dual's Hermite ball (covol of the hyperplane is covol(L) * |v*|);
+  * corank-1 candidates are the hyperplanes w . x = 0 of primitive dual
+    vectors w inside the dual's Hermite ball (covol of the hyperplane is
+    covol(L) * |w|), each spanned by its Koszul vectors w_j e_i - w_i e_j;
   * rank-2-in-rank-4 candidates come from vector pairs, bounded through
     Minkowski's second theorem: the best rank-2 sublattice is spanned by
     vectors no longer than (2/sqrt(3)) * covol(best) / lambda_1(L).
 
 Destabilizing comparisons are exact: slope(S) > slope(L) iff
-det(Gram S)^r < det(Gram L)^k over Q, no logarithms involved.
+det(Gram S)^r < det(Gram L)^k over Q, no logarithms involved.  Flag steps
+are checked by one integer invariant, the gcd of their maximal minors: 0
+for dependent rows, 1 exactly for a primitive step.
 """
 
 from __future__ import annotations
@@ -25,14 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidFlag
-from .intmat import (
-    bareiss_det,
-    contains,
-    is_primitive,
-    primitive_vector,
-    right_kernel_basis,
-    row_hnf,
-)
+from .intmat import bareiss_det, contains, maximal_minor_gcd, primitive_vector, row_hnf
 from .lattice import Lattice, _log_frac, degree, dual, minkowski_point, short_vectors
 from .numerics import DEFAULT_CONFIG, NumericsConfig
 
@@ -135,6 +131,19 @@ def _primitive_lines(L: Lattice, ball: float, config: NumericsConfig) -> list[tu
     return out
 
 
+def _hyperplane(w: tuple[int, ...]) -> IntRows:
+    """HNF basis of {x : w . x = 0} for primitive w.
+
+    With a . w = 1, any such x is sum_{i,j} x_i a_j (w_j e_i - w_i e_j), so
+    these Koszul vectors span the hyperplane.
+    """
+    r = len(w)
+    koszul = [
+        [w[j] * (t == i) - w[i] * (t == j) for t in range(r)] for i in range(r) for j in range(i)
+    ]
+    return tuple(tuple(row) for row in row_hnf(koszul))
+
+
 def _candidate_sublattices(
     L: Lattice, config: NumericsConfig
 ) -> dict[int, list[tuple[IntRows, Fraction]]]:
@@ -156,7 +165,7 @@ def _candidate_sublattices(
         D = dual(L)
         hyps: dict[IntRows, Fraction] = {}
         for w in _primitive_lines(D, _hermite_ball(D), config):
-            rows = tuple(tuple(row) for row in row_hnf(right_kernel_basis([list(w)])))
+            rows = _hyperplane(w)
             if rows not in hyps:
                 hyps[rows] = _sub_gram_det(L, rows)
         out[r - 1] = sorted(hyps.items())
@@ -300,32 +309,30 @@ def flag_polygon(L: Lattice, f: Flag, config: NumericsConfig = DEFAULT_CONFIG) -
     r = L.rank
     if not f.steps:
         raise InvalidFlag("flag has no steps")
-    prev_rank = 0
-    prev_rows: IntRows | None = None
+    prev: IntRows = ()
     breakpoints: list[tuple[float, float]] = [(0, 0.0)]
     deg = degree(L)
     for step in f.steps:
-        rows = [list(row) for row in step]
-        if any(len(row) != r for row in rows):
+        if any(len(row) != r for row in step):
             raise InvalidFlag("step width does not match the ambient rank")
-        k = len(rows)
-        if k <= prev_rank:
+        k = len(step)
+        if k <= len(prev):
             raise InvalidFlag("step ranks must strictly increase")
-        if len(row_hnf(rows)) != k:
+        g = maximal_minor_gcd(step)
+        if g == 0:
             raise InvalidFlag("step rows are linearly dependent")
-        if not is_primitive(rows):
+        if g != 1:
             raise InvalidFlag("step is not primitive in the ambient lattice")
-        if prev_rows is not None and not contains(rows, [list(row) for row in prev_rows]):
-            raise InvalidFlag("steps are not nested")
-        breakpoints.append((k, _sub_degree(L, step) - (k / r) * deg))
-        prev_rank, prev_rows = k, step
-    if prev_rank != r:
+        # a primitive rank-r step is Z^r itself: it holds every earlier step
+        # and its normalized degree is 0
+        if k < r:
+            if prev and not contains(step, prev):
+                raise InvalidFlag("steps are not nested")
+            breakpoints.append((k, _sub_degree(L, step) - (k / r) * deg))
+        prev = step
+    if len(prev) != r:
         raise InvalidFlag("last step must be the full lattice")
-    if row_hnf([list(row) for row in f.steps[-1]]) != [
-        [int(i == j) for j in range(r)] for i in range(r)
-    ]:
-        raise InvalidFlag("last step must generate the full lattice")
-    return Polygon(r, _hull_values(breakpoints, r))
+    return Polygon(r, _hull_values(breakpoints + [(r, 0.0)], r))
 
 
 def truncation_indicator(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -284,6 +284,34 @@ def frac_det(m) -> Fraction:
             f = a[i][col] / a[col][col]
             a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     return det
+
+
+def primitive_box(rows) -> bool | None:
+    """Whether k integer rows span every integer point of their rational span.
+
+    None for dependent rows.  A point of the span missing from the row
+    lattice exists iff one has the form sum c_i r_i with 0 <= c_i < 1, so
+    its coordinates lie in the box |x_j| <= sum_i |r_ij|.  The scan runs
+    over that box on k columns with a nonzero minor: each integer point
+    there fixes the coefficients c by Cramer's rule, and an integer point of
+    the span with a fractional c is the witness.
+    """
+    k, n = len(rows), len(rows[0])
+    cols = next(
+        (c for c in combinations(range(n), k) if frac_det([[r[j] for j in c] for r in rows]) != 0),
+        None,
+    )
+    if cols is None:
+        return None
+    sub = [[r[j] for j in cols] for r in rows]
+    d = frac_det(sub)
+    box = max(sum(abs(r[j]) for r in rows) for j in range(n))
+    for y in product(range(-box, box + 1), repeat=k):
+        c = [frac_det(sub[:i] + [list(y)] + sub[i + 1 :]) / d for i in range(k)]
+        x = [sum(ci * r[j] for ci, r in zip(c, rows)) for j in range(n)]
+        if all(v.denominator == 1 for v in x) and any(ci.denominator != 1 for ci in c):
+            return False
+    return True
 
 
 def best_line_degree_box(gram, covol: float, box: int = 6) -> float:

@@ -224,3 +224,12 @@ class TestGridRows:
             value = complex(row["value_re"], row["value_im"])
             assert abs(value - closed_form_IT(s, T)) <= row["abs_err_estimate"] + 1e-13
             assert row["abs_err_estimate"] < 1e-10
+
+    @pytest.mark.parametrize("s, T", [(3.0, 200.0), (2.5, 1000.0)])
+    def test_estimate_is_relative_where_I_T_is_large(self, s, T):
+        # |I_T| ~ 1.3e3 and 1.7e3: rounding alone exceeds an absolute abs_tol/10
+        exact = closed_form_IT(s, T)
+        (row,) = eq4_grid_rows([(s, T)])
+        value = complex(row["value_re"], row["value_im"])
+        assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact))
+        assert row["abs_err_estimate"] <= 1e-13 * max(1.0, abs(value))

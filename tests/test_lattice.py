@@ -115,6 +115,23 @@ class TestDual:
         D = dual(HEX)
         assert dual(D).gram == HEX.gram
 
+    def test_exact_inverses(self):
+        # rational bases with mixed denominators; the Gram-only copy must
+        # carry the inverse Gram and the basis copy the inverse transpose
+        rng = random.Random(23)
+        for _ in range(60):
+            r = rng.randint(1, 4)
+            rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(r)] for _ in range(r)]
+            if oracles.frac_det(rows) == 0:
+                continue
+            eye = [[int(i == j) for j in range(r)] for i in range(r)]
+            B = Lattice.from_basis(rows)
+            assert [[sum(a * b for a, b in zip(u, v)) for v in dual(B).basis] for u in rows] == eye
+            L = Lattice.from_gram(B.gram)
+            G, H = L.gram, dual(L).gram
+            assert [[sum(G[i][t] * H[t][j] for t in range(r)) for j in range(r)] for i in range(r)] == eye
+            assert dual(dual(L)).gram == L.gram
+
     def test_covolume_reciprocal(self):
         L = Lattice.from_basis([[2, 1], [0, 3]])
         assert abs(covolume(dual(L)) - 1 / 6) < 1e-15

@@ -9,13 +9,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from latzeta.errors import InvalidFlag
-from latzeta.intmat import bareiss_det
+from latzeta.intmat import adjugate, bareiss_det, maximal_minor_gcd
 from latzeta.lattice import Lattice, degree, scale
 from latzeta.numerics import DEFAULT_CONFIG
 from latzeta.stability import (
     Flag,
     Polygon,
     _candidate_sublattices,
+    _hyperplane,
     _sub_degree,
     _sub_gram_det,
     arthur_correspondence_rank2,
@@ -94,12 +95,50 @@ class TestIntegerDeterminants:
             assert _sub_gram_det(L, rows) == 0
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 4).flatmap(
+    @given(st.integers(0, 4).flatmap(
         lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
     ))
     def test_bareiss_on_any_square_matrix(self, m):
-        # zero pivots and row swaps, which a positive semidefinite Gram never needs
+        # zero pivots and row swaps, which a positive semidefinite Gram never needs;
+        # the empty matrix has determinant 1
         assert bareiss_det(m) == oracles.frac_det(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    ))
+    def test_adjugate_inverts_up_to_det(self, m):
+        n, adj, det = len(m), adjugate(m), oracles.frac_det(m)
+        product = [[sum(m[i][t] * adj[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        assert product == [[det * (i == j) for j in range(n)] for i in range(n)]
+
+
+# k <= 3 rows keep the oracle's box scan under 13^3 points
+ROW_MATRICES = st.integers(1, 4).flatmap(
+    lambda n: st.integers(1, min(n, 3)).flatmap(
+        lambda k: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=k, max_size=k)
+    )
+)
+
+
+class TestMinorsAndHyperplanes:
+    @settings(max_examples=150, deadline=None)
+    @given(ROW_MATRICES)
+    def test_minor_gcd_matches_box_primitivity(self, rows):
+        g = maximal_minor_gcd(rows)
+        primitive = oracles.primitive_box(rows)
+        assert (g == 0) == (primitive is None)
+        if primitive is not None:
+            assert (g == 1) == primitive
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda r: st.lists(st.integers(-6, 6), min_size=r, max_size=r)))
+    def test_koszul_hnf_spans_the_hyperplane(self, w):
+        assume(math.gcd(*w) == 1)
+        rows = _hyperplane(tuple(w))
+        assert len(rows) == len(w) - 1
+        assert all(sum(a * b for a, b in zip(row, w)) == 0 for row in rows)
+        assert maximal_minor_gcd(rows) == 1
 
 
 class TestSlope:
@@ -266,6 +305,25 @@ class TestFlagPolygon:
     def test_rejects_partial_chain(self):
         with pytest.raises(InvalidFlag):
             flag_polygon(Z2, Flag((((1, 0),),)))
+
+    @pytest.mark.parametrize(
+        "L, steps, message",
+        [
+            (Z2, (), "flag has no steps"),
+            (Z2, (((1, 0, 0),),), "step width does not match the ambient rank"),
+            (Z2, (((1, 0),), ((0, 1),)), "step ranks must strictly increase"),
+            (Z2, (((1, 0), (2, 0)),), "step rows are linearly dependent"),
+            (Z3, (((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)),), "step rows are linearly dependent"),
+            (Z2, (((2, 0),), ((1, 0), (0, 1))), "step is not primitive in the ambient lattice"),
+            (Z2, (((1, 1), (1, -1)),), "step is not primitive in the ambient lattice"),
+            (Z3, (((1, 0, 0),), ((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+             "steps are not nested"),
+            (Z2, (((1, 0),),), "last step must be the full lattice"),
+        ],
+    )
+    def test_every_invalid_flag_message(self, L, steps, message):
+        with pytest.raises(InvalidFlag, match=f"^{message}$"):
+            flag_polygon(L, Flag(steps))
 
 
 class TestTruncationIndicator:
