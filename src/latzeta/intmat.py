@@ -141,19 +141,3 @@ def maximal_minor_gcd(mat) -> int:
     k, n = len(mat), len(mat[0])
     minors = (bareiss_det([[row[j] for j in cols] for row in mat]) for cols in combinations(range(n), k))
     return gcd(*minors)
-
-
-def primitive_vector(vec) -> list[int]:
-    """Divide out the content; canonical sign (first nonzero positive)."""
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(int(x)))
-    if g == 0:
-        return [0 for _ in vec]
-    out = [int(x) // g for x in vec]
-    for x in out:
-        if x != 0:
-            if x < 0:
-                out = [-y for y in out]
-            break
-    return out

@@ -154,6 +154,17 @@ class Lattice:
         """(G_int, den) with gram == G_int / den, built on first use."""
         return _scaled_integer(self.gram)
 
+    @cached_property
+    def _dual(self) -> "Lattice":
+        """(M / den)^-1 = den adj(M) / det(M), on the basis or the Gram."""
+        m, den = self._int_gram if self.basis is None else _scaled_integer(self.basis)
+        adj = adjugate(m)
+        det = sum(a * row[0] for a, row in zip(m[0], adj))
+        inv = [[Fraction(den * v, det) for v in row] for row in adj]
+        if self.basis is None:
+            return Lattice.from_gram(inv)
+        return Lattice.from_basis(list(zip(*inv)))
+
     def gram_det(self) -> Fraction:
         g, den = self._int_gram
         return Fraction(bareiss_det(g), den**self.rank)
@@ -182,14 +193,8 @@ def degree(L: Lattice) -> float:
 
 
 def dual(L: Lattice) -> Lattice:
-    """Inverse-transpose basis, or inverse Gram: (M / den)^-1 = den adj(M) / det(M)."""
-    m, den = L._int_gram if L.basis is None else _scaled_integer(L.basis)
-    adj = adjugate(m)
-    det = sum(a * row[0] for a, row in zip(m[0], adj))
-    inv = [[Fraction(den * v, det) for v in row] for row in adj]
-    if L.basis is None:
-        return Lattice.from_gram(inv)
-    return Lattice.from_basis(list(zip(*inv)))
+    """Inverse-transpose basis, or inverse Gram, built once per lattice."""
+    return L._dual
 
 
 def _enumerate_classes(

@@ -15,6 +15,11 @@ decreasing).  Sublattice search is provably complete at rank <= 4:
     Minkowski's second theorem: the best rank-2 sublattice is spanned by
     vectors no longer than (2/sqrt(3)) * covol(best) / lambda_1(L).
 
+The search runs once per lattice and NumericsConfig and is shared by
+canonical_polygon, canonical_filtration and is_semistable; the result is
+held only while the lattice lives.  Rank-1 determinants are the exact norms
+the enumerator already computed.
+
 Destabilizing comparisons are exact: slope(S) > slope(L) iff
 det(Gram S)^r < det(Gram L)^k over Q, no logarithms involved.  Flag steps
 are checked by one integer invariant, the gcd of their maximal minors: 0
@@ -24,12 +29,15 @@ for dependent rows, 1 exactly for a primitive step.
 from __future__ import annotations
 
 import math
+import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import InvalidFlag
-from .intmat import bareiss_det, contains, maximal_minor_gcd, primitive_vector, row_hnf
-from .lattice import Lattice, _log_frac, degree, dual, minkowski_point, short_vectors
+from .intmat import bareiss_det, contains, maximal_minor_gcd, row_hnf
+from .lattice import Lattice, _enumerate_classes, _log_frac, degree, dual, minkowski_point
 from .numerics import DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
@@ -118,17 +126,24 @@ def _hermite_ball(L: Lattice) -> float:
     return gamma * math.exp(-2.0 * degree(L) / r)
 
 
-def _primitive_lines(L: Lattice, ball: float, config: NumericsConfig) -> list[tuple[int, ...]]:
+def _primitive_lines(
+    L: Lattice, ball: float, config: NumericsConfig
+) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Primitive vectors (one per +- pair) with squared length <= ball, and
+    their exact norms, in the enumerator's norm order.
+
+    A multiple k p (k > 1) comes after p in that order, so keeping the rows
+    with gcd 1 keeps every line once, at its primitive vector.
+    """
     # slight inflation so an exactly-attained Hermite bound cannot be lost to rounding
     bound = Fraction(ball) * Fraction(1_000_000_001, 1_000_000_000)
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
-    for v in short_vectors(L, bound, config):
-        p = tuple(primitive_vector(list(v)))
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    x, q = _enumerate_classes(L, bound, config)
+    den = L._int_gram[1]
+    return [
+        (tuple(v), Fraction(n, den))
+        for v, n in zip(x.tolist(), q.tolist())
+        if math.gcd(*v) == 1
+    ]
 
 
 def _hyperplane(w: tuple[int, ...]) -> IntRows:
@@ -144,44 +159,57 @@ def _hyperplane(w: tuple[int, ...]) -> IntRows:
     return tuple(tuple(row) for row in row_hnf(koszul))
 
 
-def _candidate_sublattices(
-    L: Lattice, config: NumericsConfig
-) -> dict[int, list[tuple[IntRows, Fraction]]]:
+Candidates = Mapping[int, tuple[tuple[IntRows, Fraction], ...]]
+
+# one search per (lattice, config), dropped with its lattice
+_SEARCHES: weakref.WeakKeyDictionary[Lattice, dict[NumericsConfig, Candidates]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _candidate_sublattices(L: Lattice, config: NumericsConfig) -> Candidates:
+    """_search(L, config), run once while L lives.
+
+    The key is the whole config, so a smaller vector_budget searches again
+    and raises where the search would.
+    """
+    memo = _SEARCHES.setdefault(L, {})
+    if config not in memo:
+        memo[config] = _search(L, config)
+    return memo[config]
+
+
+def _search(L: Lattice, config: NumericsConfig) -> Candidates:
     """For each intermediate rank k, candidates (HNF rows, Gram det) whose
     minimum det realizes the canonical polygon value at k."""
     r = L.rank
-    out: dict[int, list[tuple[IntRows, Fraction]]] = {}
+    out: dict[int, tuple[tuple[IntRows, Fraction], ...]] = {}
     if r == 1:
-        return out
+        return MappingProxyType(out)
 
     lines = _primitive_lines(L, _hermite_ball(L), config)
-    cands1: dict[IntRows, Fraction] = {}
-    for v in lines:
-        rows: IntRows = (v,)
-        cands1[rows] = _sub_gram_det(L, rows)
-    out[1] = sorted(cands1.items())
+    out[1] = tuple(sorted(((v,), q) for v, q in lines))
 
     if r >= 3:
         D = dual(L)
         hyps: dict[IntRows, Fraction] = {}
-        for w in _primitive_lines(D, _hermite_ball(D), config):
+        for w, _ in _primitive_lines(D, _hermite_ball(D), config):
             rows = _hyperplane(w)
             if rows not in hyps:
                 hyps[rows] = _sub_gram_det(L, rows)
-        out[r - 1] = sorted(hyps.items())
+        out[r - 1] = tuple(sorted(hyps.items()))
 
     if r == 4:
         out[2] = _rank2_in_rank4(L, lines, config)
-    return out
+    return MappingProxyType(out)
 
 
 def _rank2_in_rank4(
-    L: Lattice, lines: list[tuple[int, ...]], config: NumericsConfig
-) -> list[tuple[IntRows, Fraction]]:
+    L: Lattice, lines: list[tuple[tuple[int, ...], Fraction]], config: NumericsConfig
+) -> tuple[tuple[IntRows, Fraction], ...]:
     # lower bound on the best rank-2 degree: pairs of Hermite-ball vectors
-    # and the first two coordinate axes
-    norms = {v: _sub_gram_det(L, (v,)) for v in lines}
-    lam1_sq = min(float(q) for q in norms.values())
+    # and the first two coordinate axes; lines are in norm order
+    lam1_sq = float(lines[0][1])
     seeds = lines
     if len(lines) < 2:
         # Minkowski second theorem with gamma_4^4 = 4: lambda_1^2 lambda_2^6
@@ -191,7 +219,7 @@ def _rank2_in_rank4(
     seed_rows: list[IntRows] = [((1, 0, 0, 0), (0, 1, 0, 0))]
     for i in range(len(seeds)):
         for j in range(i + 1, len(seeds)):
-            seed_rows.append((seeds[i], seeds[j]))
+            seed_rows.append((seeds[i][0], seeds[j][0]))
     best_det = None
     for rows in seed_rows:
         d = _sub_gram_det(L, rows)
@@ -200,7 +228,7 @@ def _rank2_in_rank4(
     # Minkowski second theorem: the maximizer is spanned by vectors with
     # |v|^2 <= (4/3) * det(best) / lambda_1^2
     ball = (4.0 / 3.0) * float(best_det) / lam1_sq
-    vecs = _primitive_lines(L, ball, config)
+    vecs = [v for v, _ in _primitive_lines(L, ball, config)]
     det_cut = best_det * Fraction(1_000_001, 1_000_000)
     cands: dict[IntRows, Fraction] = {}
     for i in range(len(vecs)):
@@ -212,7 +240,7 @@ def _rank2_in_rank4(
             hnf = tuple(tuple(row) for row in row_hnf([list(vecs[i]), list(vecs[j])]))
             if hnf not in cands:
                 cands[hnf] = _sub_gram_det(L, hnf)
-    return sorted(cands.items())
+    return tuple(sorted(cands.items()))
 
 
 def slope(L: Lattice) -> float:
@@ -263,9 +291,7 @@ def _hull_values(hull: list[tuple[float, float]], rank: int) -> tuple[float, ...
     return tuple(values)
 
 
-def _canonical_hull(
-    L: Lattice, cands: dict[int, list[tuple[IntRows, Fraction]]]
-) -> list[tuple[float, float]]:
+def _canonical_hull(L: Lattice, cands: Candidates) -> list[tuple[float, float]]:
     # upper hull of (k, normalized degree of the best rank-k sublattice)
     r = L.rank
     deg = degree(L)
@@ -365,8 +391,8 @@ def parabolic_sum_indicator_rank2(
     # deg(line) > threshold iff |v|^2 < e^{-2 threshold}
     ball = math.exp(-2.0 * threshold)
     count = 0
-    for v in _primitive_lines(L, ball, config):
-        if float(_sub_gram_det(L, (v,))) < ball:
+    for _, q in _primitive_lines(L, ball, config):
+        if float(q) < ball:
             count += 1
     return 1 - count
 

@@ -103,6 +103,11 @@ class TestDual:
     def test_self_dual(self):
         assert hnf_basis(dual(Z2)) == hnf_basis(Z2)
 
+    def test_built_once_per_lattice(self):
+        L = Lattice.from_gram([[2, 1], [1, 3]])
+        assert dual(L) is dual(L)
+        assert dual(L).gram == ((Fraction(3, 5), Fraction(-1, 5)), (Fraction(-1, 5), Fraction(2, 5)))
+
     def test_involution_and_degree_flip(self):
         rng = random.Random(11)
         for _ in range(20):

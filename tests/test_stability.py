@@ -1,22 +1,28 @@
 """Stability layer: slopes, polygons, filtrations, truncation indicators."""
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from latzeta.errors import InvalidFlag
+from latzeta import stability
+from latzeta.errors import EnumerationOverflow, InvalidFlag
 from latzeta.intmat import adjugate, bareiss_det, maximal_minor_gcd
 from latzeta.lattice import Lattice, degree, scale
-from latzeta.numerics import DEFAULT_CONFIG
+from latzeta.numerics import DEFAULT_CONFIG, NumericsConfig
 from latzeta.stability import (
     Flag,
     Polygon,
     _candidate_sublattices,
+    _hermite_ball,
     _hyperplane,
+    _primitive_lines,
     _sub_degree,
     _sub_gram_det,
     arthur_correspondence_rank2,
@@ -141,6 +147,41 @@ class TestMinorsAndHyperplanes:
         assert maximal_minor_gcd(rows) == 1
 
 
+SMALL_DENOMINATORS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@st.composite
+def lattice_and_ball(draw):
+    """A rank-2..4 lattice, basis-backed or Gram-only, and a ball of 1 or 4
+    times its Hermite bound; 4 lets multiples of the shortest lines in."""
+    r = draw(st.integers(2, 4))
+    basis = draw(st.lists(st.lists(SMALL_DENOMINATORS, min_size=r, max_size=r), min_size=r, max_size=r))
+    assume(oracles.frac_det(basis) != 0)
+    L = Lattice.from_basis(basis)
+    if draw(st.booleans()):
+        L = Lattice.from_gram(L.gram)
+    return L, draw(st.sampled_from([1, 4])) * _hermite_ball(L)
+
+
+class TestPrimitiveLines:
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_and_ball())
+    def test_gcd_one_rows_of_the_box_scan_with_their_norms(self, case):
+        L, ball = case
+        # the same inflation _primitive_lines applies to its float ball
+        bound = Fraction(ball) * Fraction(1_000_000_001, 1_000_000_000)
+        ginv = np.linalg.inv(np.array(L.gram, dtype=float))
+        widths = [int(math.sqrt(float(bound) * d)) + 1 for d in np.diag(ginv)]
+        assume(math.prod(2 * w + 1 for w in widths) <= 200_000)
+        want = [(v, q) for v, q in oracles.short_vectors_box(L.gram, bound, widths) if math.gcd(*v) == 1]
+        got = _primitive_lines(L, ball, DEFAULT_CONFIG)
+        assert got == want
+        g, r = L.gram, L.rank
+        for v, q in got:
+            sub = [[sum(v[i] * g[i][j] * v[j] for i in range(r) for j in range(r))]]
+            assert q == oracles.frac_det(sub)
+
+
 class TestSlope:
     def test_trivial(self):
         assert slope(Z3) == 0.0
@@ -232,6 +273,66 @@ class TestSkewRank4:
             assert abs(_sub_degree(L, step) - k * degree(L) / 4 - v[k]) < 1e-10
             assert v[k] > (v[k - 1] + v[k + 1]) / 2 + 1e-12
         assert is_semistable(L) == (max(v) <= 1e-12)
+
+
+class TestSearchMemo:
+    """One candidate search per (lattice, config), dropped with the lattice."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        memo = weakref.WeakKeyDictionary()
+        monkeypatch.setattr(stability, "_SEARCHES", memo)
+        return memo
+
+    @staticmethod
+    def fresh_lattice():
+        return Lattice.from_basis([[2, 1, 0, 0], [0, 3, 1, 0], [1, 0, 2, 1], [0, 1, 0, 5]])
+
+    def test_three_invariants_search_once(self, monkeypatch):
+        calls = []
+        enumerate_classes = stability._enumerate_classes
+
+        def counting(*args):
+            calls.append(args[0])
+            return enumerate_classes(*args)
+
+        monkeypatch.setattr(stability, "_enumerate_classes", counting)
+        L = self.fresh_lattice()
+        canonical_polygon(L)
+        first = len(calls)
+        assert first > 0
+        canonical_filtration(L)
+        is_semistable(L)
+        truncation_indicator(L, Polygon.zero(4))
+        assert len(calls) == first
+
+    def test_smaller_budget_still_raises(self):
+        L = self.fresh_lattice()
+        canonical_polygon(L)
+        with pytest.raises(EnumerationOverflow):
+            canonical_polygon(L, NumericsConfig(vector_budget=2))
+        with pytest.raises(EnumerationOverflow):
+            is_semistable(L, NumericsConfig(vector_budget=2))
+
+    def test_entry_dies_with_its_lattice(self, fresh_memo):
+        L = self.fresh_lattice()
+        canonical_filtration(L)
+        assert len(fresh_memo) == 1
+        ref = weakref.ref(L)
+        del L
+        gc.collect()
+        assert ref() is None
+        assert len(fresh_memo) == 0
+
+    def test_repeated_calls_agree_and_entries_are_read_only(self):
+        L = self.fresh_lattice()
+        first = (canonical_polygon(L), canonical_filtration(L), is_semistable(L))
+        assert (canonical_polygon(L), canonical_filtration(L), is_semistable(L)) == first
+        cands = _candidate_sublattices(L, DEFAULT_CONFIG)
+        assert cands is _candidate_sublattices(L, DEFAULT_CONFIG)
+        assert all(isinstance(c, tuple) for c in cands.values())
+        with pytest.raises(TypeError):
+            cands[1] = ()
 
 
 class TestCanonicalFiltration:
