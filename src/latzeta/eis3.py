@@ -13,7 +13,11 @@ term equals N1^((t-3s)/2) N2^(-t) where N1 = v W v^T and N2 = w W^{-1} w^T.
 The pair table at a given height is Y-independent, so it is cached and reused
 across points and quadrature nodes.  It is stored in CSR form: the unique v
 rows, the start of each v's block of w rows, the w rows and the per-pair
-heights, in int8 up to height 127.  A sum is factored per block as
+heights, in int8 up to height 127.  The table is closed under the signed
+permutations of Z^3, so it is built by orbits: only the representatives
+a >= b >= c >= 0 of v are enumerated, and each block is copied, rotated,
+into the blocks of the other v of its orbit.  The blocks are therefore in
+orbit order, not lexicographic.  A sum is factored per block as
 N1(v)^e1 . sum over the block of N2(w)^e2, so N1 is evaluated once per v and
 the pair terms are summed per block with np.add.reduceat.  One pass over the
 table sums it for a whole stack of Gram forms W, such as every node of a
@@ -34,6 +38,7 @@ orbit sum moves under each of the five non-identity Weyl maps.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -191,9 +196,14 @@ def apply_gl3(g, Y: SL3Point) -> SL3Point:
 
 
 class _CosetTable(NamedTuple):
-    """CSR pair table: block j pairs v[j] with w[starts[j] : starts[j + 1]]."""
+    """CSR pair table: block j pairs v[j] with w[starts[j] : starts[j + 1]].
 
-    v: np.ndarray  # (blocks, 3) unique v rows, lexicographic
+    The blocks come in the order of the orbit build (_coset_table), not in
+    lexicographic v order; sums over the table depend on the order only
+    through rounding.
+    """
+
+    v: np.ndarray  # (blocks, 3) unique v rows, in build order
     starts: np.ndarray  # (blocks,) offset of each v's block into w
     w: np.ndarray  # (pairs, 3) w rows, block by block
     heights: np.ndarray  # (pairs,) max of the sup-norms of v and w
@@ -201,6 +211,7 @@ class _CosetTable(NamedTuple):
 
 _TABLE_CACHE: "OrderedDict[int, _CosetTable]" = OrderedDict()
 _CACHE_BYTE_CAP = 1 << 28
+_V_SLICE = 1 << 12  # orbit representatives per build slice (bounds _orbit_images)
 _BUILD_CHUNK = 1 << 18  # (c1, c2) box points per build step
 _SUM_CHUNK = 1 << 16  # pair terms plus monomials per summation step
 
@@ -257,15 +268,49 @@ def _kernel_bases(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _v_slices(height: int):
-    """Canonical primitive v (first nonzero coordinate positive), one slice
-    per first coordinate, in lexicographic order."""
-    rng = np.arange(-height, height + 1)
-    b, c = (g.ravel() for g in np.meshgrid(rng, rng, indexing="ij"))
-    for a in range(height + 1):
-        keep = np.gcd(np.gcd(a, np.abs(b)), np.abs(c)) == 1
-        if a == 0:
-            keep &= np.where(b != 0, b, c) > 0
-        yield np.stack([np.full(keep.sum(), a), b[keep], c[keep]], axis=1)
+    """Orbit representatives v = (a, b, c), a >= b >= c >= 0, a >= 1 and
+    gcd 1, in lexicographic order, in slices of whole a of at least
+    _V_SLICE rows (the last may hold fewer).
+
+    Every canonical primitive v of sup-norm <= height is, up to sign, the
+    image of exactly one of them under the 24 rotations of the cube.
+    """
+    reps = []
+    for a in range(1, height + 1):
+        b, c = np.tril_indices(a + 1)
+        keep = np.gcd(np.gcd(a, b), c) == 1
+        reps.append(np.stack([np.full(keep.sum(), a), b[keep], c[keep]], axis=1))
+        if a == height or sum(map(len, reps)) >= _V_SLICE:
+            yield np.concatenate(reps)
+            reps = []
+
+
+# the 24 rotations of the cube, the signed permutations of det +1: rotation r
+# takes a row x to x[_PERMS[r]] * _SIGNS[r].  The det is the parity of the
+# permutation times the product of the signs, and a permutation of three is
+# even exactly when it is a cyclic shift, (p[1] - p[0]) % 3 == 1.
+_ROTATIONS = [
+    (p, s)
+    for p in itertools.permutations(range(3))
+    for s in itertools.product((1, -1), repeat=3)
+    if math.prod(s) == (1 if (p[1] - p[0]) % 3 == 1 else -1)
+]
+_PERMS, _SIGNS = (np.array(part, np.int8) for part in zip(*_ROTATIONS))
+
+
+def _first_sign(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The sign of the first nonzero of (x, y, z), elementwise (0 if none)."""
+    return np.sign(4 * np.sign(x) + 2 * np.sign(y) + np.sign(z))
+
+
+def _orbit_images(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical images of each row of v under the 24 rotations, (n, 24, 3),
+    and the (n, 24) mask of the rotations giving an image that no earlier
+    rotation gives, so each distinct image is kept once."""
+    images = v[:, _PERMS] * _SIGNS
+    images *= _first_sign(*np.moveaxis(images, 2, 0))[..., None]
+    same = (images[:, :, None] == images[:, None, :]).all(axis=3)
+    return images, ~np.tril(same, -1).any(axis=2)
 
 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,8 +327,9 @@ def _kernel_pairs(v, b1, b2, c1, c2, height):
     (c2 bounds it where a coordinate of b2 is 0), and so do those that make
     the first nonzero coordinate positive: with |w_i| <= height that is
     key(w) > 0 for the linear key(w) = (w_0 B + w_1) B + w_2, B = 2 height + 1.
-    Returns the owning row of v, the w rows with gcd(g1, g2) = 1 and the
-    pair heights, in the order of v, then g1, then g2.
+    Returns the owning row of v, the w with gcd(g1, g2) = 1 as the rows of
+    a (3, pairs) array of coordinates, and the pair heights, in the order of
+    v, then g1, then g2.
     """
     row_v, k = _ragged(2 * c1 + 1)
     g1 = k - c1[row_v]
@@ -314,7 +360,7 @@ def _kernel_pairs(v, b1, b2, c1, c2, height):
     w = p[:, row] + g2[keep] * q[:, row]
     owner = row_v[row]
     heights = np.maximum(np.abs(w).max(axis=0), np.abs(v).max(axis=1)[owner])
-    return owner, w.T, heights
+    return owner, w, heights
 
 
 def _coset_table(height: int, config: NumericsConfig) -> _CosetTable:
@@ -328,15 +374,25 @@ def _coset_table(height: int, config: NumericsConfig) -> _CosetTable:
     is empty.  Entries use the smallest signed dtype holding +-height: int8
     up to height 127, 4 bytes a pair.
 
-    The build runs across all v at once: batched kernel bases, then the
-    ragged coefficient ranges of each basis (_kernel_pairs), walked in steps
-    of about _BUILD_CHUNK points of the bounding (c1, c2) boxes.  The budget is
-    checked at every step, so an over-budget table is never built.  Each step
-    is written into four buffers grown in place (_put), so the build holds
-    about one table at its peak.  The cache holds every table and evicts the
-    oldest while the arrays it holds exceed _CACHE_BYTE_CAP bytes; the newest
-    table always stays.  A height that is not a positive integer raises
-    ValueError.
+    The table is closed under the 24 rotations of the cube (the signed
+    permutations of det +1; with -I they give all 48): a rotation keeps
+    w.v = 0, primitivity and both sup-norms, and maps the block of v onto
+    the block of its image once both are made canonical.  So the build
+    enumerates only the blocks of the orbit representatives (_v_slices),
+    1/20 of the pairs at height 20, and copies each, rotated, into the
+    block of every distinct image of its v (_orbit_images).  Blocks come
+    step by step, and rotation by rotation within a step.
+
+    Each slice of representatives gets batched kernel bases, and their
+    ragged coefficient ranges (_kernel_pairs) are walked in steps of about
+    _BUILD_CHUNK points of the bounding (c1, c2) boxes.  The budget counts
+    expanded pairs, block size times orbit size, and is checked before a
+    step writes anything, so an over-budget table is never built.  Each
+    step is written in the table's dtype into four buffers grown in place
+    (_put), so the build holds about one table at its peak.  The cache
+    holds every table and evicts the oldest while the arrays it holds
+    exceed _CACHE_BYTE_CAP bytes; the newest table always stays.  A height
+    that is not a positive integer raises ValueError.
     """
     if not (isinstance(height, int) and height >= 1):
         raise ValueError("height must be a positive integer")
@@ -354,6 +410,8 @@ def _coset_table(height: int, config: NumericsConfig) -> _CosetTable:
     blocks = count = 0
     for v in _v_slices(height):
         b1, b2 = _kernel_bases(v)
+        images, distinct = _orbit_images(v)
+        orbit = distinct.sum(axis=1)
         # g1 = +-(b2 x v).w / |v|^2 and g2 = +-(b1 x v).w / |v|^2, so on
         # the cube |g1| <= height |b2 x v|_1 / |v|^2, and likewise g2
         norm2 = np.einsum("ij,ij->i", v, v)
@@ -367,17 +425,25 @@ def _coset_table(height: int, config: NumericsConfig) -> _CosetTable:
             owner, w, pair_heights = _kernel_pairs(
                 v[lo:hi], b1[lo:hi], b2[lo:hi], c1[lo:hi], c2[lo:hi], height
             )
-            if count + len(w) > config.vector_budget:
+            size = np.bincount(owner, minlength=hi - lo)
+            if count + int(size @ orbit[lo:hi]) > config.vector_budget:
                 raise EnumerationOverflow(
                     f"coset enumeration at height {height} exceeded the budget "
                     f"of {config.vector_budget} pairs"
                 )
-            _put(v_rows, blocks, v[lo:hi])
-            _put(sizes, blocks, np.bincount(owner, minlength=hi - lo))
-            _put(w_rows, count, w)
-            _put(heights, count, pair_heights)
-            blocks += hi - lo
-            count += len(w)
+            # rotation r maps the block of v onto the block of its image
+            w = w.astype(dtype)
+            for r, (perm, signs) in enumerate(zip(_PERMS, _SIGNS)):
+                kept = distinct[lo:hi, r]
+                rows = kept[owner]
+                image = [w[i][rows] * sign for i, sign in zip(perm, signs)]
+                flip = _first_sign(*image)
+                _put(v_rows, blocks, images[lo:hi, r][kept])
+                _put(sizes, blocks, size[kept])
+                _put(w_rows, count, np.stack([x * flip for x in image], axis=1))
+                _put(heights, count, pair_heights[rows])
+                blocks += int(kept.sum())
+                count += len(flip)
             lo = hi
     for buf, used in ((v_rows, blocks), (sizes, blocks), (w_rows, count), (heights, count)):
         buf.resize((used,) + buf.shape[1:], refcheck=False)

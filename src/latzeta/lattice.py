@@ -149,6 +149,20 @@ class Lattice:
             "gram": [[frac_to_str(v) for v in row] for row in self.gram],
         }
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """A hash of the compared fields, computed once: the Fraction entries
+        make it cost tens of microseconds, and memo lookups hash every call.
+
+        A missing basis hashes as (), not None, so the value is the same in
+        every process and stays valid in a pickled lattice (before Python
+        3.12, hash(None) varies from process to process).
+        """
+        return hash((self.rank, self.gram, self.basis or ()))
+
     @cached_property
     def _int_gram(self) -> tuple[IntMatrix, int]:
         """(G_int, den) with gram == G_int / den, built on first use."""

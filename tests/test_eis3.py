@@ -12,6 +12,7 @@ import math
 import random
 from collections import OrderedDict
 from fractions import Fraction
+from itertools import permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +238,15 @@ class TestDirect:
         assert v.pairs == 11_004
         assert len(_coset_table(6, BIG).v) == 865
 
+    def test_budget_counts_expanded_pairs(self, monkeypatch):
+        # the height-6 table holds 11,004 pairs, all images of 55 orbit
+        # representatives; the budget is on the pairs, not the representatives
+        monkeypatch.setattr(eis3, "_TABLE_CACHE", OrderedDict())
+        with pytest.raises(EnumerationOverflow):
+            _coset_table(6, NumericsConfig(vector_budget=11_003))
+        assert 6 not in eis3._TABLE_CACHE
+        assert len(_coset_table(6, NumericsConfig(vector_budget=11_004)).w) == 11_004
+
     def test_default_budget_stops_height_60_uncached(self, monkeypatch):
         monkeypatch.setattr(eis3, "_TABLE_CACHE", OrderedDict())
         with pytest.raises(EnumerationOverflow):
@@ -278,6 +288,28 @@ class TestCosetTable:
         assert len(got) == len(w)
         assert len(np.unique(table.v, axis=0)) == len(table.v)
         assert got == oracles.coset_pairs_bruteforce(height)
+
+    def test_pair_counts(self):
+        counts = {6: 11_004, 8: 32_916, 10: 74_076, 12: 147_252, 14: 271_764,
+                  16: 444_948, 18: 700_764, 20: 1_069_116}
+        assert {h: len(_coset_table(h, BIG).w) for h in counts} == counts
+
+    def test_closed_under_signed_permutations(self):
+        # x -> x M for the 24 signed permutation matrices M of det 1; with -I
+        # they give all 48, and -I fixes every canonical row
+        table = _coset_table(10, BIG)
+        v, w = (rows.astype(np.int64) for rows in _pair_rows(table))
+        expected = _pair_keys(v, w, table.heights, 10)
+        rotations = [
+            np.eye(3, dtype=np.int64)[list(p)] * np.array(s)
+            for p in permutations(range(3))
+            for s in product((1, -1), repeat=3)
+        ]
+        rotations = [m for m in rotations if round(np.linalg.det(m)) == 1]
+        assert len(rotations) == 24
+        for m in rotations:
+            got = _pair_keys(_canonical(v @ m), _canonical(w @ m), table.heights, 10)
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("chunk", [4096, eis3._SUM_CHUNK])
     @pytest.mark.parametrize(
@@ -329,6 +361,20 @@ class TestCosetTable:
             expected += weight * _pair_terms(v, w, w_form, s, t).sum()
         got = constant_term_numeric(y, s, t, P, 6, BIG)
         assert abs(got - expected) <= 1e-13 * abs(expected)
+
+
+def _canonical(rows):
+    """Each row times the sign of its first nonzero entry."""
+    first = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    return rows * np.sign(first)[:, None]
+
+
+def _pair_keys(v, w, heights, height):
+    """The (v, w, height) rows of a table as sorted integers, one a row."""
+    key = np.zeros(len(v), np.int64)
+    for col in (*v.T, *w.T):
+        key = key * (2 * height + 1) + col + height
+    return np.sort(key * (height + 1) + heights)
 
 
 def _pair_terms(v, w, w_form, s, t):

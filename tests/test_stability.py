@@ -306,6 +306,25 @@ class TestSearchMemo:
         truncation_indicator(L, Polygon.zero(4))
         assert len(calls) == first
 
+    @pytest.mark.parametrize("field", ["basis", "gram"])
+    def test_equal_lattices_hash_equal_and_share_one_entry(self, monkeypatch, fresh_memo, field):
+        calls = []
+        enumerate_classes = stability._enumerate_classes
+        monkeypatch.setattr(
+            stability, "_enumerate_classes", lambda *a: calls.append(a) or enumerate_classes(*a)
+        )
+        rows = getattr(self.fresh_lattice(), field)
+        build = Lattice.from_basis if field == "basis" else Lattice.from_gram
+        first, second = build(rows), build(rows)
+        assert first is not second and first == second and hash(first) == hash(second)
+        canonical_polygon(first)
+        searched = len(calls)
+        canonical_polygon(second)
+        assert len(calls) == searched > 0
+        assert len(fresh_memo) == 1
+        # a Gram-only lattice still differs from one with a basis
+        assert Lattice.from_gram(self.fresh_lattice().gram) != self.fresh_lattice()
+
     def test_smaller_budget_still_raises(self):
         L = self.fresh_lattice()
         canonical_polygon(L)
