@@ -10,36 +10,26 @@ which the truncated fundamental-domain integral has the exact closed form
 
     I_T(s) = xi(2s) T^{s-1}/(s-1) - xi(2s-1) T^{-s}/s.
 
-Three independent evaluation routes are provided -- the raw double sum (only
-where it converges absolutely), the Fourier expansion (valid everywhere off
-the xi pole lines, and serving as the analytic continuation), and the
-closed-form I_T -- plus a tensor Gauss-Legendre quadrature that ties the
-series to I_T numerically.
+Three independent evaluation routes are provided -- the lattice sum (by the
+theta split lattice._epstein_split, only where the double sum converges),
+the Fourier expansion (valid everywhere off the xi pole lines, and serving
+as the analytic continuation), and the closed-form I_T -- plus a tensor
+Gauss-Legendre quadrature that ties the series to I_T numerically.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import (
-    ConvergenceRegion,
-    EnumerationOverflow,
-    PoleProximity,
-    QuadratureBudget,
-)
+from .errors import ConvergenceRegion, PoleProximity, QuadratureBudget
 from .halfplane import UpperHalfPoint, reduce_sl2
-from .lattice import Lattice, minkowski_point
+from .lattice import Lattice, _epstein_split, minkowski_point
 from .numerics import (
-    DEFAULT_CONFIG,
-    NumericsConfig,
-    _gl_panels,
-    _k_bessel_many,
-    gamma_complex,
-    sigma_divisor,
-    xi_completed,
+    DEFAULT_CONFIG, NumericsConfig, _gl_panels, _k_bessel_many, sigma_divisor, xi_completed
 )
 
 __all__ = [
@@ -66,35 +56,19 @@ def _check_guard(s: complex, config: NumericsConfig) -> None:
 def eisenstein_direct(
     z: UpperHalfPoint, s: complex, config: NumericsConfig = DEFAULT_CONFIG
 ) -> complex:
-    """Truncated double sum (1/2) pi^{-s} Gamma(s) sum' y^s/|mz+n|^{2s}.
+    """(1/2) pi^{-s} Gamma(s) sum' y^s/|mz+n|^{2s} = (1/2) y^s Lambda_L(s).
 
-    The cut at max(|m|,|n|) = N comes from comparing the tail with the
-    radial integral of the smallest-eigenvalue bound |mz+n|^2 >= c^2(m^2+n^2).
+    Lambda_L is lattice._epstein_split on L = Z + Zz, from the exact binary
+    fractions of x and y, to 2 abs_tol / y^{Re s}; z needs no reduction.
     """
     s = complex(s)
-    sigma = s.real
-    if sigma <= 1.0 + config.series_cutoff_margin:
+    if s.real <= 1.0 + config.series_cutoff_margin:
         raise ConvergenceRegion(
             f"direct series needs Re(s) > {1.0 + config.series_cutoff_margin}"
         )
-    x, y = z.x, z.y
-    pref = 0.5 * cmath.exp(-s * math.log(math.pi)) * gamma_complex(s, config)
-    tr = 1.0 + x * x + y * y
-    c2 = (tr - math.sqrt(tr * tr - 4.0 * y * y)) / 2.0
-    c_tail = abs(pref) * (y**sigma) * c2 ** (-sigma) * 2.0 * math.pi / (sigma - 1.0)
-    n_cut = 1 + math.ceil((c_tail / config.abs_tol) ** (1.0 / (2.0 * sigma - 2.0)))
-    if (2 * n_cut + 1) ** 2 > config.vector_budget:
-        raise EnumerationOverflow(
-            f"direct sum needs {(2 * n_cut + 1) ** 2} terms, over the budget"
-        )
-    ns = np.arange(1, n_cut + 1, dtype=float)
-    # m = 0 row: 2 sum_{n >= 1} n^{-2s}
-    acc = 2.0 * np.sum(ns ** (-2.0 * s))
-    all_n = np.arange(-n_cut, n_cut + 1, dtype=float)
-    for m in range(1, n_cut + 1):
-        q = (m * x + all_n) ** 2 + (m * y) ** 2
-        acc += 2.0 * np.sum(q ** (-s))
-    return pref * (y**s) * complex(acc)
+    L = Lattice.from_basis([[1, 0], [z.x, z.y]])
+    lam_config = replace(config, abs_tol=2.0 * config.abs_tol / z.y**s.real)
+    return 0.5 * cmath.exp(s * math.log(z.y)) * _epstein_split(L, s, lam_config)
 
 
 def _a0(y: float, s: complex, config: NumericsConfig) -> complex:

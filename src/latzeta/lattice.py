@@ -21,10 +21,12 @@ from a float Cholesky factor, expanded one coordinate level at a time over
 all prefixes at once and filtered by the integer norm, so no vector inside
 the bound is ever missed or misreported.
 
-theta_h0 enumerates once, at the radius where Banaszczyk's Gaussian tail
-bound (Math. Ann. 296, 1993, Lemma 1.5) holds the truncation error of h0
-below abs_tol / 10 for a lattice of any scale; it never raises
-NonConvergence.
+Both theta routes, theta_h0 and the Epstein zeta _epstein_split (two theta
+integrals over t >= 1, on L and on its dual, joined at t = 1 by the same
+Poisson step), enumerate at a radius from Banaszczyk's bound (Math. Ann.
+296, 1993, Lemma 1.5): for c >= 1/sqrt(2 pi) the Gaussian mass of a rank-n
+lattice outside the ball of radius c sqrt(n) is below beta^n times the
+whole, beta = c sqrt(2 pi e) exp(-pi c^2), whatever its scale.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EnumerationOverflow, NonConvergence, SingularBasis
+from .errors import EnumerationOverflow, NonConvergence, PoleProximity, SingularBasis
 from .halfplane import UpperHalfPoint
 from .intmat import adjugate, bareiss_det, row_hnf
 from .jsonio import frac_to_str, str_to_frac
-from .numerics import DEFAULT_CONFIG, NumericsConfig
+from .numerics import DEFAULT_CONFIG, NumericsConfig, _gl_orders, _gl_panels
 
 __all__ = [
     "Lattice",
@@ -193,10 +195,7 @@ class CohomologyReport:
 
 
 def covolume(L: Lattice) -> float:
-    d = L.gram_det()
-    if d <= 0:
-        raise SingularBasis("Gram determinant must be positive")
-    return math.exp(0.5 * _log_frac(d))
+    return math.exp(-degree(L))
 
 
 def degree(L: Lattice) -> float:
@@ -309,16 +308,11 @@ def _theta_radius2(rank: int, tol: float) -> float:
 
 
 def theta_h0(L: Lattice, config: NumericsConfig = DEFAULT_CONFIG) -> float:
-    """log sum_{x in L} exp(-pi |x|^2), truncated at a proven radius.
+    """log sum_{x in L} exp(-pi |x|^2), truncated at Banaszczyk's radius.
 
-    Banaszczyk (Math. Ann. 296, 1993, Lemma 1.5): for c >= 1/sqrt(2 pi) the
-    Gaussian mass of a rank-n lattice outside the ball of radius c sqrt(n)
-    is below beta^n times the whole, beta = c sqrt(2 pi e) exp(-pi c^2),
-    whatever the lattice's scale.  One enumeration of |x|^2 <= n c^2 with
-    beta^n = abs_tol / 10 therefore misses at most
-    -log(1 - beta^n) <= beta^n / (1 - beta^n) of h0.  Norms come from the
-    integer Gram; the only failure is EnumerationOverflow past
-    vector_budget, never NonConvergence.
+    At beta^n = abs_tol / 10 the vectors left out cost at most
+    -log(1 - beta^n) <= beta^n / (1 - beta^n) of h0.  The only failure is
+    EnumerationOverflow past vector_budget, never NonConvergence.
     """
     _, q = _enumerate_classes(L, Fraction(_theta_radius2(L.rank, config.abs_tol)), config)
     den = L._int_gram[1]
@@ -327,6 +321,55 @@ def theta_h0(L: Lattice, config: NumericsConfig = DEFAULT_CONFIG) -> float:
 
 def theta_h1(L: Lattice, config: NumericsConfig = DEFAULT_CONFIG) -> float:
     return theta_h0(dual(L), config)
+
+
+def _epstein_split(L: Lattice, s: complex, config: NumericsConfig = DEFAULT_CONFIG) -> complex:
+    """Lambda_L(s) = pi^-s Gamma(s) sum' |v|^-2s, off the poles 0 and n/2, as
+
+        int_1^inf (theta_L - 1) t^{s-1} dt + V^-1 int_1^inf (theta_{L*} - 1) t^{n/2-s-1} dt
+        - 1/s - V^-1 / (n/2 - s)
+
+    (Riemann 1859; Epstein, Math. Ann. 56, 1903).  Both thetas are cut at one
+    radius rho: Banaszczyk's bound, theta_L(1) = V^-1 theta_{L*}(1) <=
+    prod (1 + 1/b*_i) over the Gram-Schmidt lengths, and e^{-pi t q} <=
+    e^{-pi q} e^{-pi rho^2 (t - 1)} bound what is left out.  The panels
+    1, 2, 4, ..., U are sized by the Bernstein-ellipse bound, and U by the
+    tail bound W e^{-pi q_0 (t - 1)} U^{Re a} e^{max(Re a, 0) (t - U) / U},
+    W = sum 2 e^{-pi q}.  Each of the six errors is under abs_tol / 60.
+    """
+    s, n = complex(s), L.rank
+    if abs(s) < config.pole_guard_radius or abs(s - n / 2) < config.pole_guard_radius:
+        raise PoleProximity(f"Epstein zeta pole guard at s = {s}")
+    tol, v = config.abs_tol / 60.0, covolume(L)
+    theta1 = float(np.prod(1.0 + 1.0 / np.diag(np.linalg.cholesky(np.array(L.gram, dtype=float)))))
+    # pi rho^2 >= 1 + max(Re a, 0) keeps int_1^inf e^{-pi rho^2 (t - 1)} |t^a| dt <= 1
+    rho2 = max(_theta_radius2(n, 10.0 * tol / theta1), max(s.real, n / 2 - s.real, 1.0) / math.pi)
+
+    def side(M: Lattice, a: complex, tol: float) -> complex:
+        """int_1^inf (theta_M - 1) t^a dt over M's vectors inside rho, to 2 tol."""
+        q = _enumerate_classes(M, rho2, config)[1].astype(float) / float(M._int_gram[1])
+        if len(q) == 0:
+            return 0j
+        c, sig = math.pi * q[0], max(a.real, 0.0)
+
+        def theta(x, shift=0.0):
+            # sum_q 2 e^{-pi (q - shift) x} at every x, 1024 norms at a time
+            parts = (np.multiply.outer(x, q[i : i + 1024] - shift) for i in range(0, len(q), 1024))
+            return sum(2.0 * np.exp(-math.pi * p).sum(axis=-1) for p in parts)
+
+        def log_weight(r, _m=None, _big_r=None):
+            # |theta(t)| <= theta(Re t); e^{-pi q_0 r} is taken out so the log stays finite
+            return np.log(theta(r, q[0])) - c * r
+
+        u, log_w = 2.0, log_weight(1.0) - math.log(tol)
+        while c <= sig / u or log_w + a.real * math.log(u) - c * (u - 1.0) > math.log(c - sig / u):
+            u *= 2.0
+        edges = 2.0 ** np.arange(round(math.log2(u)) + 1)
+        t, w = _gl_panels(edges, _gl_orders(edges, (a,), log_weight, tol / (len(edges) - 1)))
+        return complex(w @ (theta(t) * t**a))
+
+    lam = side(L, s - 1.0, tol) + side(dual(L), n / 2 - s - 1.0, tol * v) / v
+    return lam - 1.0 / s - 1.0 / (v * (n / 2 - s))
 
 
 def riemann_roch(L: Lattice, config: NumericsConfig = DEFAULT_CONFIG) -> CohomologyReport:

@@ -166,11 +166,6 @@ def _suite_residues(config):
 
 
 def _suite_fourier(config):
-    # the direct double sum near Re(s) = 2 needs ~1e9 terms to reach the
-    # 1e-8 agreement target; its truncation bound, not the Fourier side,
-    # dictates both knobs
-    tight = replace(config, abs_tol=2e-9,
-                    vector_budget=max(config.vector_budget, 2_000_000_000))
     z = UpperHalfPoint(0.28, 1.31)
     rows = []
     for k in range(10):
@@ -178,8 +173,8 @@ def _suite_fourier(config):
         rows.append(
             check_entry(
                 f"fourier_vs_direct_s={s}",
-                eisenstein_fourier(z, s, tight),
-                complex(eisenstein_direct(z, s, tight)),
+                eisenstein_fourier(z, s, config),
+                complex(eisenstein_direct(z, s, config)),
                 1e-8,
             )
         )

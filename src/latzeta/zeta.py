@@ -1,11 +1,10 @@
 """Rank-1 and rank-2 zeta functions over the lattice moduli spaces.
 
 The rank-1 function integrates e^{h^0} - 1 = theta(V^2) - 1 over the scaling
-moduli {V Z} and lands exactly on the completed Riemann zeta; the computation
-here folds the integral to [1, inf) with the theta inversion
-theta(1/u) = sqrt(u) theta(u) and runs its own Gauss-Legendre panels, so the
-agreement with xi_completed is a genuine two-route cross-check, not an
-identity of implementations.
+moduli {V Z} and lands exactly on the completed Riemann zeta.  With t = V^2
+it is the Epstein zeta Lambda_Z(s/2) / 2 of lattice._epstein_split, while
+xi_completed sums its own omega on its own panels, so the agreement is a
+genuine two-route cross-check, not an identity of implementations.
 
 The rank-2 function is the height-1 truncated integral in closed form,
 xi(2s)/(s-1) - xi(2s-1)/s, with a quadrature twin and a contour-based residue
@@ -23,7 +22,8 @@ import numpy as np
 
 from .errors import ContourFailure, ConvergenceRegion, LatzetaError
 from .eis2 import closed_form_IT, geo_truncated_integral_numeric
-from .numerics import DEFAULT_CONFIG, NumericsConfig, _gl_orders, _gl_panels
+from .lattice import Lattice, _epstein_split
+from .numerics import DEFAULT_CONFIG, NumericsConfig, _gl_panels
 
 __all__ = [
     "zeta_rank1_numeric",
@@ -34,40 +34,23 @@ __all__ = [
 ]
 
 
-def _log_theta_bound(r, m, _big_r):
-    # |theta(V^2) - 1| <= 2 e^{-pi q} / (1 - e^{-3 pi q}) with q = r^2 - m^2 <= Re V^2,
-    # as n^2 >= 3n - 2; no bound where q <= 0
-    q = r * r - m * m
-    qc = np.maximum(q, 1e-300)
-    log_sum = -math.pi * qc - np.log(-np.expm1(-3.0 * math.pi * qc))
-    return np.where(q > 0.0, math.log(2.0) + log_sum, np.inf)
+_Z = Lattice.from_basis([[1]])
 
 
 def zeta_rank1_numeric(
     s: complex, config: NumericsConfig = DEFAULT_CONFIG
 ) -> complex:
-    """Moduli integral of theta(V^2) - 1 against V^s dV/V, folded to [1, inf).
+    """Moduli integral of theta(V^2) - 1 against V^s dV/V, for Re(s) > 1 + margin.
 
-    After folding: int_1^inf (theta(V^2)-1)(V^{s-1} + V^{-s}) dV
-                   + 1/(s-1) - 1/s,  for Re(s) > 1 + margin.
-    One Gauss-Legendre panel on [1, U], its order sized by the
-    Bernstein-ellipse bound to abs_tol/10 (numerics._gl_orders).
+    With t = V^2 it is (1/2) int_0^inf (theta_Z(t) - 1) t^{s/2 - 1} dt
+    = Lambda_Z(s/2) / 2, evaluated by lattice._epstein_split.
     """
     s = complex(s)
     if s.real <= 1.0 + config.series_cutoff_margin:
         raise ConvergenceRegion(
             f"rank-1 moduli integral needs Re(s) > {1.0 + config.series_cutoff_margin}"
         )
-    # e^{-pi depth^2} = abs_tol / 1000 cuts both the theta series and the V range
-    depth = math.sqrt(-math.log(config.abs_tol * 1e-3) / math.pi)
-    edges = (1.0, depth + 1.0)
-    order = _gl_orders(edges, (s - 1.0, -s), _log_theta_bound, config.abs_tol / 10.0)
-    v, w = _gl_panels(edges, order)
-    # theta(V^2) - 1 = 2 sum_{n>=1} exp(-pi n^2 V^2)
-    n2 = np.arange(1, max(2, math.ceil(depth))) ** 2
-    theta = 2.0 * np.exp(-math.pi * np.outer(v * v, n2)).sum(axis=1)
-    f = theta * (v ** complex(s - 1) + v ** complex(-s))
-    return complex(w @ f) + 1.0 / (s - 1.0) - 1.0 / s
+    return _epstein_split(_Z, s / 2.0, config) / 2.0
 
 
 def zeta_rank2(s: complex, config: NumericsConfig = DEFAULT_CONFIG) -> complex:

@@ -153,6 +153,28 @@ def eisenstein_coset_sum(z: complex, s: complex, n_max: int = 2000) -> complex:
     return xi_oracle(2 * s) * acc
 
 
+def epstein_ball(gram, s: complex, radius: float) -> complex:
+    """pi^-s Gamma(s) sum' |v|^-2s for Re s > n/2, from the vectors in a ball.
+
+    Sums q^-s over the nonzero points with q = x^T G x <= radius^2 (scanned
+    in the box |x_i| <= radius sqrt((G^-1)_ii), which holds the ball) and
+    adds the radial tail (area of the unit sphere / V) radius^(n-2s) / (2s-n)
+    of the points outside.
+    """
+    s = complex(s)
+    r = len(gram)
+    g = np.array([[float(x) for x in row] for row in gram])
+    ginv = np.linalg.inv(g)
+    axes = [np.arange(-m, m + 1) for m in (int(radius * math.sqrt(ginv[i, i])) + 1 for i in range(r))]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, r).astype(float)
+    norms = np.einsum("ij,jk,ik->i", pts, g, pts)
+    norms = norms[(norms > 0.0) & (norms <= radius * radius)]
+    sphere = 2.0 * math.pi ** (r / 2.0) / math.gamma(r / 2.0)
+    tail = sphere / math.sqrt(np.linalg.det(g)) * radius ** (r - 2.0 * s) / (2.0 * s - r)
+    total = complex(np.sum(np.exp(-s * np.log(norms)))) + tail
+    return cmath.exp(-s * math.log(math.pi)) * gamma_euler(s) * total
+
+
 # ---------- K-Bessel at order 0: ascending series ----------
 
 

@@ -67,9 +67,10 @@ def test_05_residues_and_volume_ratio():
 
 
 def test_06_fourier_vs_direct():
-    rep, _ = timed_suite("fourier")
+    rep, elapsed = timed_suite("fourier")
     assert_rows(rep)
     assert len(rep["checks"]) == 10
+    assert elapsed < 5.0
 
 
 def test_07_truncated_constant_term_vanishes():

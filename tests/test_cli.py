@@ -151,7 +151,7 @@ class TestLatticeCommands:
 
 class TestEis2Commands:
     def test_fourier_and_direct_agree(self, capsys):
-        # at the default tolerance the direct cut fits the budget for s >= 3.5
+        # the direct route (the theta split on Z + Zz) against the Fourier expansion
         assert run(["eis2", "direct", "--x", "0.2", "--y", "1.4", "--s", "3.5"]) == 0
         a = parse_complex(capsys.readouterr().out.strip())
         assert run(["eis2", "fourier", "--x", "0.2", "--y", "1.4", "--s", "3.5"]) == 0

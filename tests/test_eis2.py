@@ -18,7 +18,7 @@ from latzeta.eis2 import (
     reduce_sl2,
     truncated_eisenstein,
 )
-from latzeta.lattice import Lattice, scale
+from latzeta.lattice import Lattice, _epstein_split, scale
 from latzeta.numerics import DEFAULT_CONFIG, NumericsConfig, xi_completed
 
 # reference values, each confirmed by two independent evaluation routes
@@ -76,9 +76,18 @@ class TestDirect:
             eisenstein_direct(UpperHalfPoint(0.0, 1.0), 1.05)
 
     def test_budget(self):
-        tight = NumericsConfig(abs_tol=1e-12, vector_budget=1000)
+        # the theta split enumerates Z^2 and its dual at one radius, visiting
+        # 26 candidates on each; a budget below that count stops it
+        tight = NumericsConfig(abs_tol=1e-12, vector_budget=20)
         with pytest.raises(EnumerationOverflow):
             eisenstein_direct(UpperHalfPoint(0.0, 1.0), 2.0, tight)
+
+    def test_unreduced_point_matches_fourier_at_reduced_point(self):
+        # the lattice Z + Zz does not depend on the representative of z
+        z = UpperHalfPoint(0.3, 0.05)
+        zr, _ = reduce_sl2(z)
+        for s in (2.5, complex(3.0, 1.0), complex(1.4, 6.0)):
+            assert abs(eisenstein_direct(z, s) - eisenstein_fourier(zr, s)) < 1e-11, s
 
 
 class TestFourier:
@@ -137,6 +146,20 @@ class TestEpstein:
     def test_rank_guard(self):
         with pytest.raises(ValueError):
             epstein_lattice(Lattice.from_basis([[2]]), 2.0)
+
+    @pytest.mark.parametrize(
+        "L",
+        [
+            Lattice.from_basis([[Fraction(3, 2), Fraction(1, 3)], [Fraction(-1, 2), Fraction(5, 4)]]),
+            Lattice.from_gram([[1, Fraction(1, 2)], [Fraction(1, 2), 1]]),
+        ],
+        ids=["basis", "gram-only"],
+    )
+    def test_theta_split_is_twice_the_fourier_route(self, L):
+        # Lambda_L from the enumerated vectors of L and its dual, against the
+        # Fourier expansion at the Minkowski point; the continuation included
+        for s in (3.5, complex(0.7, 0.3), complex(-1.2, 3.0)):
+            assert abs(_epstein_split(L, s) - 2.0 * epstein_lattice(L, s)) < 1e-11, s
 
 
 class TestTruncated:

@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from latzeta.errors import EnumerationOverflow, SingularBasis
+from latzeta.errors import EnumerationOverflow, PoleProximity, SingularBasis
 from latzeta.lattice import (
     CohomologyReport,
     Lattice,
     _enumerate_classes,
+    _epstein_split,
     _theta_radius2,
     covolume,
     degree,
@@ -201,6 +203,68 @@ class TestThetaOracle:
     def test_radius_values(self):
         got = [_theta_radius2(n, 1e-12) for n in (1, 2, 3, 4)]
         assert [round(v, 2) for v in got] == [10.35, 10.97, 11.53, 12.04]
+
+
+A3 = Lattice.from_gram([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+SKEW3 = Lattice.from_basis(
+    [[Fraction(3, 2), Fraction(1, 3), 0], [Fraction(1, 2), Fraction(5, 4), Fraction(-1, 2)],
+     [0, Fraction(2, 3), Fraction(7, 5)]]
+)
+SKEW4 = Lattice.from_basis(  # the basis of test_stability.TestSkewRank4
+    [
+        [Fraction(3, 2), Fraction(1, 2), Fraction(-1, 3), Fraction(-4, 3)],
+        [0, Fraction(4, 3), Fraction(8, 3), 0],
+        [0, 0, Fraction(2, 3), Fraction(-4, 3)],
+        [Fraction(3, 2), Fraction(1, 2), -1, Fraction(3, 2)],
+    ]
+)
+
+
+class TestEpsteinSplit:
+    """The theta split against ball sums with their radial tail, and the
+    functional equation Lambda_L(s) = V^-1 Lambda_{L*}(n/2 - s)."""
+
+    @pytest.mark.parametrize(
+        "L, radius, points",
+        [
+            (Z3, 30, (4.0, complex(3.0, 2.0))),
+            (A3, 30, (4.0, complex(3.0, 2.0))),
+            (SKEW3, 30, (4.0, complex(3.0, 2.0))),
+            (SKEW4, 6, (5.0, complex(4.0, 1.5))),
+        ],
+        ids=["Z3", "A3", "skew3", "skew4"],
+    )
+    def test_matches_ball_sum(self, L, radius, points):
+        # the oracle's own error, the lattice-point discrepancy of the ball
+        # against its radial tail, is of order radius^(n - 1 - 2 Re s)
+        for s in points:
+            tol = 0.1 * radius ** (L.rank - 1 - 2 * complex(s).real)
+            assert abs(_epstein_split(L, s) - oracles.epstein_ball(L.gram, s, radius)) < tol, s
+
+    def test_rank1_is_twice_xi(self):
+        for s in (3.0, complex(0.3, 2.0), complex(-2.0, 1.0)):
+            assert abs(_epstein_split(Z1, s / 2) - 2 * oracles.xi_oracle(s)) < 1e-11, s
+
+    def test_pole_guard(self):
+        for L, pole in ((Z1, 0.5), (Z3, 0.0), (SKEW4, 2.0)):
+            with pytest.raises(PoleProximity):
+                _epstein_split(L, pole)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        rank=st.integers(1, 4),
+        seed=st.integers(0, 10**6),
+        s=st.complex_numbers(max_magnitude=4.0).filter(lambda z: abs(z.imag) <= 3.0),
+    )
+    def test_functional_equation(self, rank, seed, s):
+        try:
+            L = shaped_lattice(random.Random(seed), rank)
+        except SingularBasis:  # the mixing step can make the rows dependent
+            assume(False)
+        assume(min(abs(s), abs(s - rank / 2)) > 0.1)
+        lhs = _epstein_split(L, s)
+        rhs = _epstein_split(dual(L), rank / 2 - s) / covolume(L)
+        assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs)), (L, s)
 
 
 class TestRiemannRoch:
