@@ -2,7 +2,7 @@
 
 Subpackages by theme:
 
-- numerics: gamma, completed zeta, K-Bessel, divisor sums
+- numerics: completed zeta, K-Bessel, divisor sums
 - lattice: exact rational lattices, theta counts, duality, short vectors
 - stability: slopes, canonical polygons and filtrations, truncation indicators
 - eis2: SL2 Eisenstein series, truncations, the cusp-region integral identity

@@ -77,24 +77,29 @@ def _a0(y: float, s: complex, config: NumericsConfig) -> complex:
     )
 
 
-def _fourier_tail_chunk(
-    xs: np.ndarray, ys: np.ndarray, s: complex, config: NumericsConfig
-) -> np.ndarray:
-    y_min = float(np.min(ys))
-    nu = s - 0.5
-    n_start = max(1, math.ceil((-math.log(config.abs_tol) + 8.0) / (2.0 * math.pi * y_min)))
-    total = np.zeros_like(ys, dtype=complex)
-    sqrt_y = np.sqrt(ys)
-    n = 0
-    cap = n_start + 400
-    while n < cap:
-        n += 1
-        coeff = 4.0 * n**nu * sigma_divisor(1 - 2 * s, n)
-        bessel = _k_bessel_many(nu, 2.0 * math.pi * n * ys, config)
-        total += coeff * sqrt_y * bessel * np.cos(2.0 * math.pi * n * xs)
-        if n >= n_start and float(np.max(np.abs(coeff * sqrt_y * bessel))) < config.abs_tol / 10.0:
-            return total
-    raise QuadratureBudget("Fourier tail failed to fall below tolerance")
+def _tail_modes(y_min: float, mu: float, abs_tol: float) -> int:
+    """Least N with sum_{n > N} b_n < abs_tol/10 at y_min, for the bound
+
+        |n^nu sigma_{1-2s}(n) 4 sqrt(y) K_nu(2 pi n y)| <= b_n = 8 n^|mu| e^{-c n + mu^2/(2 c n)},
+
+    mu = Re nu, c = 2 pi y, from |n^nu sigma_{1-2s}(n)| <= d(n) n^|mu|,
+    d(n) <= 2 sqrt(n), |K_nu| <= K_mu and K_mu(x) <= sqrt(2 pi/x) e^{-x + mu^2/(2x)}
+    (cosh u >= 1 + u^2/2, cosh mu u <= e^{|mu| u}).  Past n the ratio
+    b_{n+1}/b_n is at most r_n = (1 + 1/n)^|mu| e^{-c}, so the tail beyond
+    N is at most b_{N+1} / (1 - r_{N+1}).  The candidates run to an M where
+    that holds for certain: there r <= e^{-c/2}, mu^2/(2 c n) <= |mu|/4 and
+    |mu| log n <= c n/2 + |mu| log(2|mu|/(e c)).
+    """
+    a, c = abs(mu), 2.0 * math.pi * y_min
+    log_gap = math.log(80.0 / abs_tol) + a / 4.0 - math.log(-math.expm1(-c / 2.0))
+    if a > 0.0:
+        log_gap += a * max(0.0, math.log(2.0 * a / (math.e * c)))
+    n = np.arange(1.0, max(2.0 * a / c + 1.0, 2.0 * log_gap / c) + 2.0)
+    log_r = a * np.log1p(1.0 / n) - c
+    log_b = math.log(8.0) + a * np.log(n) - c * n + mu * mu / (2.0 * c * n)
+    with np.errstate(divide="ignore"):  # no geometric bound where r_n >= 1
+        log_tail = log_b - np.log(-np.expm1(np.minimum(log_r, 0.0)))
+    return int(np.argmax(log_tail < math.log(abs_tol / 10.0)))
 
 
 def _fourier_tail(
@@ -102,15 +107,23 @@ def _fourier_tail(
 ) -> np.ndarray:
     """Nonconstant Fourier part over arrays of points sharing one s.
 
-    sum_{n >= 1} 4 n^{s-1/2} sigma_{1-2s}(n) sqrt(y) K_{s-1/2}(2 pi n y) cos(2 pi n x);
-    truncation extends until the last term falls under abs_tol/10 everywhere.
-    Points are processed in blocks so the Bessel quadrature's (points x nodes)
-    work array stays small.
+    sum_{n=1}^{N} 4 n^{s-1/2} sigma_{1-2s}(n) sqrt(y) K_{s-1/2}(2 pi n y) cos(2 pi n x),
+    with N from _tail_modes at the smallest y, so the bound on the dropped
+    terms is under abs_tol/10 at every point.  Each block of about 4096
+    (point, mode) pairs is one K-Bessel pass and one product with the cosines.
     """
-    out = np.empty(len(ys), dtype=complex)
-    for lo in range(0, len(ys), 4096):
-        block = slice(lo, lo + 4096)
-        out[block] = _fourier_tail_chunk(xs[block], ys[block], s, config)
+    nu = s - 0.5
+    modes = np.arange(1, _tail_modes(float(np.min(ys)), nu.real, config.abs_tol) + 1)
+    out = np.zeros(len(ys), dtype=complex)
+    if not len(modes):
+        return out
+    coeffs = np.array([4.0 * n**nu * sigma_divisor(1 - 2 * s, n) for n in modes.tolist()])
+    step = max(1, 4096 // len(modes))
+    for lo in range(0, len(ys), step):
+        x, y = xs[lo : lo + step, None], ys[lo : lo + step, None]
+        bessel = _k_bessel_many(nu, (2.0 * math.pi * y * modes).ravel(), config)
+        terms = bessel.reshape(len(y), -1) * np.cos(2.0 * math.pi * x * modes)
+        out[lo : lo + step] = np.sqrt(y[:, 0]) * (terms @ coeffs)
     return out
 
 

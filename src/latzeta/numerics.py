@@ -1,7 +1,6 @@
 """Special functions underlying every evaluator in the package.
 
-Four ingredients: the complex gamma function (Lanczos approximation with
-reflection), the completed zeta function
+Three ingredients: the completed zeta function
 
     xi(s) = pi^{-s/2} Gamma(s/2) zeta(s)
           = -1/s - 1/(1-s) + int_1^inf omega(u) (u^{s/2} + u^{(1-s)/2}) du/u,
@@ -12,7 +11,7 @@ computed from the theta-integral form (entire apart from the two explicit
 pole terms, and symmetric under s <-> 1-s by construction), the K-Bessel
 function of complex order via trapezoidal quadrature of
 
-    K_nu(y) = int_0^inf exp(-y cosh u) cosh(nu u) du,
+    K_nu(y) = e^{-y} int_0^inf exp(-y (cosh u - 1)) cosh(nu u) du,
 
 and exact divisor power sums.  All approximate routines honor the tolerances
 in NumericsConfig and raise PoleProximity inside guard disks instead of
@@ -25,10 +24,12 @@ Thm 4.5), with M from |omega(u)| <= sum_n e^{-pi n^2 Re u} and
 |u^a| <= |u|^{Re a} e^{|Im a| |arg u|}, so it grows with |Im s|; past order
 512 (near |Im s| = 3000) the pass raises QuadratureBudget.
 
-The K-Bessel trapezoid is one pass whose step h is fixed in advance by the
-strip bound e^{-2 pi a/h} e^{|Im nu| a} (1/cos a)^{|Re nu|}, a = 1 (Trefethen &
-Weideman, SIAM Review 56, 2014); it raises QuadratureBudget where its rounding
-bound exceeds abs_tol max(1, |K|).
+The K-Bessel trapezoid is one rule for every y: its step h is fixed in
+advance by the strip bound e^{-2 pi a/h} e^{|Im nu| a} (1/cos a)^{|Re nu|}
+(Trefethen & Weideman, SIAM Review 56, 2014) on the strip of half-width
+a = 1/sqrt(max(y, 1)), the width of the integrand's peak, so the value is
+accurate relative to |K| at every y.  It raises QuadratureBudget where its
+rounding bound exceeds abs_tol max(1, |K|).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "NumericsConfig",
     "DEFAULT_CONFIG",
     "KBesselValue",
-    "gamma_complex",
     "xi_completed",
     "k_bessel",
     "sigma_divisor",
@@ -93,49 +93,6 @@ def pow_pos(u: float, s: complex) -> complex:
     if u <= 0.0:
         raise ValueError("pow_pos needs a positive base")
     return cmath.exp(complex(s) * math.log(u))
-
-
-# ---------- gamma ----------
-
-# Lanczos coefficients, g = 7, 9 terms; relative error ~ 1e-15 on Re s > 0.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _gamma_positive(s: complex) -> complex:
-    # valid for Re s > 0.5
-    z = s - 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
-
-
-def gamma_complex(s: complex, config: NumericsConfig = DEFAULT_CONFIG) -> complex:
-    """Gamma(s) on C minus guard disks around the poles 0, -1, -2, ...
-
-    Lanczos on the right half plane, reflection formula on the left.
-    Satisfies the recurrence Gamma(s+1) = s Gamma(s) to ~1e-13 relative.
-    """
-    s = complex(s)
-    if s.real < 0.5:
-        k = round(s.real)
-        if k <= 0 and abs(s - k) < config.pole_guard_radius:
-            raise PoleProximity(f"gamma pole at {k}; s = {s}")
-        # Gamma(s) Gamma(1-s) = pi / sin(pi s)
-        return math.pi / (cmath.sin(math.pi * s) * _gamma_positive(1.0 - s))
-    return _gamma_positive(s)
 
 
 # ---------- Gauss-Legendre ----------
@@ -243,33 +200,42 @@ class KBesselValue(complex):
 
 _LOG_SMALLEST_NORMAL = math.log(2.2250738585072014e-308)
 
+# floats in one (points x nodes) work array of the K-Bessel pass
+_K_WORK = 2**16
+
 
 def _k_cutoff(y: float, re_nu: float, abs_tol: float) -> float:
-    # smallest U with y cosh U - |Re nu| U > log(1/abs_tol) + 5
+    # smallest U with y (cosh U - 1) - |Re nu| U > log(1/abs_tol) + 5
     target = math.log(1.0 / abs_tol) + 5.0
     u = 1.0
     for _ in range(60):
-        need = (target + abs(re_nu) * u) / y
-        u_new = math.acosh(need) if need > 1.0 else 1.0
+        u_new = math.acosh(1.0 + (target + abs(re_nu) * u) / y)
         if abs(u_new - u) < 1e-9:
             break
         u = u_new
-    return max(u, 1.0)
+    return u_new
 
 
 def _k_trapezoid(nu: complex, ys: np.ndarray, n: int, upper: float):
-    # (sum w f, sum w |f| c) per y, where c = 1 + u (|nu| + y cosh u) bounds the
-    # rounding error of f(u) relative to |f(u)|, in units of the roundoff
+    # (sum w f, sum w |f| c) e^{-y} per y, where f = e^{-y (cosh u - 1)} cosh(nu u)
+    # and c = 1 + u (|nu| + y cosh u) bounds the rounding error of f(u)
+    # relative to |f(u)|, in units of the roundoff
     u = np.linspace(0.0, upper, n + 1)
     weights = np.full(n + 1, upper / n)
     weights[0] *= 0.5
     ch = np.cosh(u)
+    cosh_m1 = 2.0 * np.sinh(0.5 * u) ** 2
     wk = weights * np.cosh(complex(nu) * u)
     wa = np.abs(wk)
-    # rows: y values, cols: quadrature nodes
-    expo = np.exp(-np.outer(ys, ch))
-    sums = expo @ np.column_stack([wk.real, wk.imag, wa * (1.0 + abs(nu) * u), wa * u * ch])
-    return sums[:, 0] + 1j * sums[:, 1], sums[:, 2] + ys * sums[:, 3]
+    cols = np.column_stack([wk.real, wk.imag, wa * (1.0 + abs(nu) * u), wa * u * ch])
+    # rows: y values, cols: quadrature nodes, at most _K_WORK floats a step
+    step = max(1, _K_WORK // (n + 1))
+    sums = np.empty((len(ys), 4))
+    for i in range(0, len(ys), step):
+        work = np.outer(ys[i : i + step], -cosh_m1)
+        sums[i : i + step] = np.exp(work, out=work) @ cols
+    scale = np.exp(-ys)
+    return (sums[:, 0] + 1j * sums[:, 1]) * scale, (sums[:, 2] + ys * sums[:, 3]) * scale
 
 
 def k_bessel(
@@ -277,13 +243,10 @@ def k_bessel(
 ) -> KBesselValue:
     """K_nu(y) for y > 0 by trapezoidal quadrature of the cosh integral.
 
-    Accurate to config.abs_tol relative to max(1, |K|): once |K| < 1 that is
-    an absolute error, so small values at large y carry large relative
-    errors (at nu = 0.5 against mpmath: 6.7e-9 relative at y = 20, 9.8e-6
-    at y = 60, 5.7e-2 at y = 200).  Symmetric in nu <-> -nu by construction
-    (the integrand depends on nu through cosh(nu u) only).  For y so large
-    that the value drops below the smallest normal double, returns exact 0
-    flagged with .underflow.
+    Accurate to config.abs_tol relative to |K| (see _k_bessel_many).
+    Symmetric in nu <-> -nu by construction (the integrand depends on nu
+    through cosh(nu u) only).  For y so large that the value drops below the
+    smallest normal double, returns exact 0 flagged with .underflow.
     """
     if y <= 0:
         raise ValueError("k_bessel needs y > 0")
@@ -300,16 +263,22 @@ def _k_bessel_many(
 ) -> np.ndarray:
     """Vectorized K_nu over an array of positive y in one trapezoid pass.
 
-    The pass sums h (f(0)/2 + f(h) + ... + f(U)), U from _k_cutoff at the
-    smallest y.  The step h brings the strip bound
-    e^{-2 pi a/h} e^{|Im nu| a} (1/cos a)^{|Re nu|} (a = 1; Trefethen & Weideman,
-    SIAM Review 56, 2014) under abs_tol/10 relative to max(1, |K|).
-    Raises QuadratureBudget where the rounding bound exceeds abs_tol max(1, |K|).
+    K_nu(y) = e^{-y} int_0^inf e^{-y (cosh u - 1)} cosh(nu u) du.  The pass
+    sums h (f(0)/2 + f(h) + ... + f(U)) and multiplies by e^{-y}, with U from
+    _k_cutoff at y0 = min(ys).  The integrand's peak has width about
+    1/sqrt(y0), so the strip bound e^{-2 pi a/h} e^{|Im nu| a} (1/cos a)^{|Re nu|}
+    (Trefethen & Weideman, SIAM Review 56, 2014) is taken on the strip of
+    half-width a = 1/sqrt(max(y0, 1)), where e^{-y0 (cosh u - 1)} stays
+    bounded; h brings it under abs_tol/10 relative to |K(y0)|.  Larger y
+    keep an absolute error under that at y0.  Raises QuadratureBudget where
+    the rounding bound exceeds abs_tol max(1, |K|).
     """
-    upper = _k_cutoff(float(np.min(ys)), nu.real, config.abs_tol)
-    # 2 pi a / h with a = 1: target, strip growth, and 2.0 for the constant in front
-    strip = abs(nu.imag) - abs(nu.real) * math.log(math.cos(1.0))
-    n = math.ceil(upper * (math.log(10.0 / config.abs_tol) + strip + 2.0) / (2.0 * math.pi))
+    y0 = float(np.min(ys))
+    upper = _k_cutoff(y0, nu.real, config.abs_tol)
+    a = 1.0 / math.sqrt(max(y0, 1.0))
+    # 2 pi a / h: target, strip growth, and 2.0 for the constant in front
+    strip = abs(nu.imag) * a - abs(nu.real) * math.log(math.cos(a))
+    n = math.ceil(upper * (math.log(10.0 / config.abs_tol) + strip + 2.0) / (2.0 * math.pi * a))
     vals, noise = _k_trapezoid(nu, ys, n, upper)
     if np.any(np.finfo(float).eps / 2.0 * noise > config.abs_tol * np.maximum(1.0, abs(vals))):
         raise QuadratureBudget(f"K-Bessel quadrature lost to cancellation at nu = {nu}")

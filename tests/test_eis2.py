@@ -1,14 +1,17 @@
 """SL2 Eisenstein layer: direct/Fourier agreement, truncations, eq-4 integral."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from latzeta.errors import ConvergenceRegion, EnumerationOverflow, PoleProximity
+import oracles
 from latzeta.eis2 import (
     UpperHalfPoint,
+    _tail_modes,
     closed_form_IT,
     eisenstein_direct,
     eisenstein_fourier,
@@ -119,12 +122,44 @@ class TestFourier:
         with pytest.raises(PoleProximity):
             eisenstein_fourier(UpperHalfPoint(0.0, 1.0), 1.0)
 
+    @pytest.mark.parametrize("s", [2.5, complex(3.0, 1.0)])
+    def test_small_y_unreduced_matches_direct(self, s):
+        # about a hundred modes at y = 0.05, all in one K-Bessel pass
+        z = UpperHalfPoint(0.3, 0.05)
+        d = eisenstein_direct(z, s)
+        assert abs(eisenstein_fourier(z, s) - d) <= 1e-11 * max(1.0, abs(d))
+
     def test_constant_term_dominates_at_height(self):
         # the nonconstant part decays like e^{-2 pi y}
         z = UpperHalfPoint(0.25, 5.0)
         s = 2.5
         a0 = xi_completed(2 * s) * z.y**s + xi_completed(2 - 2 * s) * z.y ** (1 - s)
         assert abs(eisenstein_fourier(z, s) - a0) < math.exp(-2 * math.pi * 5) * 1e3
+
+
+def _sigma_oracle(mpmath, e: complex, n: int):
+    """sigma_e(n) by oracles.sigma_exact for integer e, else by mpmath powers."""
+    if e.imag == 0.0 and e.real.is_integer():
+        exact = oracles.sigma_exact(int(e.real), n)
+        return mpmath.mpf(exact.numerator) / exact.denominator
+    return mpmath.fsum(mpmath.power(d, e) for d in range(1, n + 1) if n % d == 0)
+
+
+class TestFourierTailModes:
+    """The mode count is set in advance from a bound: the terms it drops,
+    taken from mpmath's K-Bessel, sum to under abs_tol/10."""
+
+    @pytest.mark.parametrize("y", [0.05, 0.5, 0.87, 2.5])
+    @pytest.mark.parametrize("s", [complex(-1.5, 1.0), 0.6, complex(1.5, 2.0), 4.0])
+    def test_dropped_terms_under_tolerance(self, y, s):
+        mpmath = pytest.importorskip("mpmath")
+        nu = s - 0.5
+        n_modes = _tail_modes(y, nu.real, DEFAULT_CONFIG.abs_tol)
+        dropped = 0.0
+        for n in range(n_modes + 1, n_modes + 51):
+            term = 4 * mpmath.power(n, nu) * _sigma_oracle(mpmath, 1 - 2 * s, n) * mpmath.sqrt(y)
+            dropped += abs(complex(term * mpmath.besselk(nu, 2 * mpmath.pi * n * y)))
+        assert dropped < DEFAULT_CONFIG.abs_tol / 10
 
 
 class TestEpstein:
@@ -205,6 +240,19 @@ class TestHeightIntegral:
     def test_height_guard(self):
         with pytest.raises(ValueError):
             geo_truncated_integral_numeric(2.0, 0.5)
+
+    def test_work_arrays_stay_small(self):
+        # the K-Bessel pass steps over its arguments, so no (points x nodes)
+        # array of the 30,720-point rule is held at once; the first call
+        # fills the Gauss-Legendre and xi caches, which are not work arrays
+        geo_truncated_integral_numeric(complex(1.5, 2.0), 3.0)
+        tracemalloc.start()
+        try:
+            geo_truncated_integral_numeric(complex(1.5, 2.0), 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestClosedForm:

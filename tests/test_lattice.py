@@ -51,18 +51,25 @@ def random_lattice(rng, rank, span=3):
             continue
 
 
-def shaped_lattice(rng, rank):
-    """Rows D (I + E), mixed by unimodular row operations: the Gram-Schmidt
-    lengths are D in [1/2, 2], so neither the lattice nor its dual has a
-    very short vector and box scans stay small."""
+def shaped_rows(rng, rank):
+    """Rows D (I + E) with E strictly upper triangular: the Gram-Schmidt
+    lengths are the diagonal D in [1/2, 2]."""
     rows = []
     for i in range(rank):
         d = Fraction(rng.randint(2, 8), 4)
         rows.append([d * (1 if j == i else 0 if j < i else Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))))
                      for j in range(rank)])
+    return rows
+
+
+def shaped_lattice(rng, rank):
+    """shaped_rows mixed by unimodular row operations, so neither the
+    lattice nor its dual has a very short vector and box scans stay small."""
+    rows = shaped_rows(rng, rank)
     for _ in range(3 if rank > 1 else 0):
         i, j = rng.sample(range(rank), 2)
-        rows[i] = [a + rng.choice((-1, 1)) * b for a, b in zip(rows[i], rows[j])]
+        sign = rng.choice((-1, 1))
+        rows[i] = [a + sign * b for a, b in zip(rows[i], rows[j])]
     return Lattice.from_basis(rows)
 
 
@@ -99,6 +106,13 @@ class TestDegree:
             Lattice.from_basis([[1, 2], [2, 4]])
         with pytest.raises(SingularBasis):
             Lattice.from_gram([[1, 2], [2, 1]])  # indefinite
+
+
+def test_shaped_lattice_mixes_by_unimodular_steps():
+    # the steps keep the covolume prod D; one sign per step keeps them unimodular
+    rows = shaped_rows(random.Random(4), 4)
+    L = shaped_lattice(random.Random(4), 4)
+    assert L.gram_det() == math.prod(rows[i][i] for i in range(4)) ** 2
 
 
 class TestDual:
@@ -257,10 +271,7 @@ class TestEpsteinSplit:
         s=st.complex_numbers(max_magnitude=4.0).filter(lambda z: abs(z.imag) <= 3.0),
     )
     def test_functional_equation(self, rank, seed, s):
-        try:
-            L = shaped_lattice(random.Random(seed), rank)
-        except SingularBasis:  # the mixing step can make the rows dependent
-            assume(False)
+        L = shaped_lattice(random.Random(seed), rank)
         assume(min(abs(s), abs(s - rank / 2)) > 0.1)
         lhs = _epstein_split(L, s)
         rhs = _epstein_split(dual(L), rank / 2 - s) / covolume(L)
