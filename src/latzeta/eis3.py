@@ -12,8 +12,8 @@ integer vectors, v a bottom row and w orthogonal to it: with W = R R^T each
 term equals N1^((t-3s)/2) N2^(-t) where N1 = v W v^T and N2 = w W^{-1} w^T.
 The pair table at a given height is Y-independent, so it is cached and reused
 across points and quadrature nodes.  It is stored in CSR form: the unique v
-rows, the start of each v's block of w rows, the w rows and the per-pair
-heights, in int8 up to height 127.  The table is closed under the signed
+rows, the start of each v's block of w rows and the w rows, in int8 up to
+height 127.  The table is closed under the signed
 permutations of Z^3, so it is built by orbits: only the representatives
 a >= b >= c >= 0 of v are enumerated, and each block is copied, rotated,
 into the blocks of the other v of its orbit.  The blocks are therefore in
@@ -24,8 +24,8 @@ table sums it for a whole stack of Gram forms W, such as every node of a
 unipotent average, with N1 and N2 as six monomials times a coefficient
 matrix.  Complex powers keep their real and imaginary parts as float arrays,
 with the phase from a tangent half-angle.  Sums report an honest convergence
-estimate (the difference between the full partial sum and the half-height
-partial sum) instead of pretending to an absolute tolerance.
+estimate (the difference between the partial sums over the height-h and the
+cached height-h//2 tables) instead of pretending to an absolute tolerance.
 
 Every constant term is read off one table: the six Weyl images of (s, t)
 and the three roots whose xi product is completion_factor.  The
@@ -206,7 +206,6 @@ class _CosetTable(NamedTuple):
     v: np.ndarray  # (blocks, 3) unique v rows, in build order
     starts: np.ndarray  # (blocks,) offset of each v's block into w
     w: np.ndarray  # (pairs, 3) w rows, block by block
-    heights: np.ndarray  # (pairs,) max of the sup-norms of v and w
 
 
 _TABLE_CACHE: "OrderedDict[int, _CosetTable]" = OrderedDict()
@@ -328,8 +327,7 @@ def _kernel_pairs(v, b1, b2, c1, c2, height):
     the first nonzero coordinate positive: with |w_i| <= height that is
     key(w) > 0 for the linear key(w) = (w_0 B + w_1) B + w_2, B = 2 height + 1.
     Returns the owning row of v, the w with gcd(g1, g2) = 1 as the rows of
-    a (3, pairs) array of coordinates, and the pair heights, in the order of
-    v, then g1, then g2.
+    a (3, pairs) array of coordinates, in the order of v, then g1, then g2.
     """
     row_v, k = _ragged(2 * c1 + 1)
     g1 = k - c1[row_v]
@@ -358,9 +356,7 @@ def _kernel_pairs(v, b1, b2, c1, c2, height):
     keep = np.gcd(g1[row], g2) == 1
     row = row[keep]
     w = p[:, row] + g2[keep] * q[:, row]
-    owner = row_v[row]
-    heights = np.maximum(np.abs(w).max(axis=0), np.abs(v).max(axis=1)[owner])
-    return owner, w, heights
+    return row_v[row], w
 
 
 def _coset_table(height: int, config: NumericsConfig) -> _CosetTable:
@@ -369,10 +365,10 @@ def _coset_table(height: int, config: NumericsConfig) -> _CosetTable:
     A pair is a canonical primitive v (first nonzero coordinate positive)
     and a canonical primitive w orthogonal to it, both of sup-norm <= height.
     The table holds the unique v rows, the start of each v's block of w
-    rows, the w rows and the per-pair heights.  Every v has a pair (w =
-    +-(b, -a, 0) / gcd(a, b), or (1, 0, 0) when v = (0, 0, 1)), so no block
-    is empty.  Entries use the smallest signed dtype holding +-height: int8
-    up to height 127, 4 bytes a pair.
+    rows and the w rows.  Every v has a pair (w = +-(b, -a, 0) / gcd(a, b),
+    or (1, 0, 0) when v = (0, 0, 1)), so no block is empty.  Entries use the
+    smallest signed dtype holding +-height: int8 up to height 127, 3 bytes a
+    pair and 11 bytes a block.
 
     The table is closed under the 24 rotations of the cube (the signed
     permutations of det +1; with -I they give all 48): a rotation keeps
@@ -388,7 +384,7 @@ def _coset_table(height: int, config: NumericsConfig) -> _CosetTable:
     _BUILD_CHUNK points of the bounding (c1, c2) boxes.  The budget counts
     expanded pairs, block size times orbit size, and is checked before a
     step writes anything, so an over-budget table is never built.  Each
-    step is written in the table's dtype into four buffers grown in place
+    step is written in the table's dtype into three buffers grown in place
     (_put), so the build holds about one table at its peak.  The cache
     holds every table and evicts the oldest while the arrays it holds
     exceed _CACHE_BYTE_CAP bytes; the newest table always stays.  A height
@@ -406,7 +402,7 @@ def _coset_table(height: int, config: NumericsConfig) -> _CosetTable:
         return cached
     dtype = _entry_dtype(height)
     v_rows, sizes = np.empty((0, 3), dtype), np.empty(0, np.int64)
-    w_rows, heights = np.empty((0, 3), dtype), np.empty(0, dtype)
+    w_rows = np.empty((0, 3), dtype)
     blocks = count = 0
     for v in _v_slices(height):
         b1, b2 = _kernel_bases(v)
@@ -422,7 +418,7 @@ def _coset_table(height: int, config: NumericsConfig) -> _CosetTable:
         while lo < len(v):
             done = ends[lo - 1] if lo else 0
             hi = max(lo + 1, int(np.searchsorted(ends, done + _BUILD_CHUNK, "right")))
-            owner, w, pair_heights = _kernel_pairs(
+            owner, w = _kernel_pairs(
                 v[lo:hi], b1[lo:hi], b2[lo:hi], c1[lo:hi], c2[lo:hi], height
             )
             size = np.bincount(owner, minlength=hi - lo)
@@ -441,13 +437,12 @@ def _coset_table(height: int, config: NumericsConfig) -> _CosetTable:
                 _put(v_rows, blocks, images[lo:hi, r][kept])
                 _put(sizes, blocks, size[kept])
                 _put(w_rows, count, np.stack([x * flip for x in image], axis=1))
-                _put(heights, count, pair_heights[rows])
                 blocks += int(kept.sum())
                 count += len(flip)
             lo = hi
-    for buf, used in ((v_rows, blocks), (sizes, blocks), (w_rows, count), (heights, count)):
+    for buf, used in ((v_rows, blocks), (sizes, blocks), (w_rows, count)):
         buf.resize((used,) + buf.shape[1:], refcheck=False)
-    table = _CosetTable(v_rows, np.cumsum(sizes) - sizes, w_rows, heights)
+    table = _CosetTable(v_rows, np.cumsum(sizes) - sizes, w_rows)
     _TABLE_CACHE[height] = table
     held = sum(_nbytes(t) for t in _TABLE_CACHE.values())
     while held > _CACHE_BYTE_CAP and len(_TABLE_CACHE) > 1:
@@ -543,14 +538,10 @@ def _quadratic(rows: np.ndarray, forms: np.ndarray) -> np.ndarray:
 
 
 def _table_sums(
-    table: _CosetTable,
-    forms: np.ndarray,
-    s: complex,
-    t: complex,
-    half_height: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full and half-height sums of N1^((t-3s)/2) N2^(-t) over the table,
-    one of each for every Gram form W in the (n, 3, 3) stack forms.
+    table: _CosetTable, forms: np.ndarray, s: complex, t: complex
+) -> np.ndarray:
+    """Sums of N1^((t-3s)/2) N2^(-t) over the table, one for every Gram form
+    W in the (n, 3, 3) stack forms.
 
     One pass over the table serves every form, with one batched inverse.
     N1 = v W v^T and N2 = w W^{-1} w^T are six monomials of the rows times
@@ -559,15 +550,12 @@ def _table_sums(
     n is.  The real and imaginary parts of N2^e2 stay float arrays; they
     are summed per block with np.add.reduceat, and the block sums are
     dotted with the N1^e1 of their v.  A block split between two steps
-    gives a partial sum to each.  The half-height sums keep the pairs of
-    height <= half_height, and are only formed when that is positive;
-    otherwise they are 0.
+    gives a partial sum to each.
     """
-    v_rows, starts, w_rows, heights = table
+    v_rows, starts, w_rows = table
     inverses = np.linalg.inv(forms)
     e1, e2 = 0.5 * (t - 3.0 * s), -t
     total = np.zeros(len(forms), complex)
-    total_half = np.zeros(len(forms), complex)
     step = max(1, _SUM_CHUNK // (len(forms) + 6))
     for p0 in range(0, len(w_rows), step):
         p1 = min(p0 + step, len(w_rows))
@@ -579,13 +567,7 @@ def _table_sums(
         terms = _power(_quadratic(w_rows[p0:p1], inverses), e2)
         sums = _joined([np.add.reduceat(p, local, axis=0) for p in terms])
         total += np.einsum("bn,bn->n", sums, n1e1)
-        if half_height > 0:
-            kept = (heights[p0:p1] <= half_height)[:, None]
-            sums = _joined(
-                [np.add.reduceat(np.where(kept, p, 0.0), local, axis=0) for p in terms]
-            )
-            total_half += np.einsum("bn,bn->n", sums, n1e1)
-    return total, total_half
+    return total
 
 
 def sl3_eisenstein_direct(
@@ -601,16 +583,23 @@ def sl3_eisenstein_direct(
     not a bound: at heights 6 to 10 it understated |E(Y) - E(gY)| by up to
     19.8 times for points far from the fundamental domain (g a product of
     three elementary matrices with entries in [-2, 2]); at heights 12 to 20
-    the difference stayed below 0.32 times the estimate.
+    the difference stayed below 0.32 times the estimate.  The height // 2
+    sum is taken over the cached height // 2 table, the pairs of the
+    height table with both sup-norms <= height // 2; it is fetched first,
+    so the requested table is the newest in the cache and always stays.
+    At height 1 there is no half table and the half sum is 0.
     """
     s = complex(s)
     t = complex(t)
     _check_region(s, t, config)
-    table = _coset_table(height, config)
     r = Y.matrix()
-    total, total_half = _table_sums(table, (r @ r.T)[None], s, t, height // 2)
-    total, total_half = complex(total[0]), complex(total_half[0])
-    return SeriesValue(total, abs(total - total_half), len(table.w))
+    form = (r @ r.T)[None]
+    half = 0j
+    if height // 2 >= 1:
+        half = complex(_table_sums(_coset_table(height // 2, config), form, s, t)[0])
+    table = _coset_table(height, config)
+    total = complex(_table_sums(table, form, s, t)[0])
+    return SeriesValue(total, abs(total - half), len(table.w))
 
 
 # --- Weyl orbit --------------------------------------------------------------
@@ -766,7 +755,7 @@ def constant_term_numeric(
     n_mats = np.tile(np.eye(3), (idx.shape[1], 1, 1))
     n_mats[:, rows, cols] = 0.5 * (nodes[idx].T + 1.0)
     forms = n_mats @ (r @ r.T) @ n_mats.transpose(0, 2, 1)
-    values, _ = _table_sums(table, forms, s, t, 0)
+    values = _table_sums(table, forms, s, t)
     return (0.5 * weights[idx]).prod(axis=0) @ values
 
 

@@ -75,7 +75,8 @@ def _random_lattice(rng, rank, span=3, denominators=(1, 2, 3)):
 def _random_unimodular(rank, rng, ops=12):
     u = [[int(i == j) for j in range(rank)] for i in range(rank)]
     for _ in range(ops):
-        i, j = rng.sample(range(rank), 2)
+        i = rng.randrange(rank)
+        j = (i + 1 + rng.randrange(rank - 1)) % rank
         c = rng.randint(-2, 2)
         for k in range(rank):
             u[i][k] += c * u[j][k]

@@ -18,12 +18,10 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from .errors import ContourFailure, ConvergenceRegion, LatzetaError
 from .eis2 import closed_form_IT, geo_truncated_integral_numeric
 from .lattice import Lattice, _epstein_split
-from .numerics import DEFAULT_CONFIG, NumericsConfig, _gl_panels
+from .numerics import DEFAULT_CONFIG, NumericsConfig
 
 __all__ = [
     "zeta_rank1_numeric",
@@ -91,10 +89,3 @@ def volume_d_T(T: float) -> float:
     return math.pi / 3.0 - 1.0 / T
 
 
-def _volume_quadrature(T: float, config: NumericsConfig = DEFAULT_CONFIG) -> float:
-    """Independent dx dy / y^2 quadrature of the same region (for checks)."""
-    if T < 1.0:
-        raise ValueError("height must be >= 1")
-    xs, ws = _gl_panels((0.0, 0.5), 64)  # doubled by symmetry
-    # int_{y0}^{T} y^{-2} dy = 1/y0 - 1/T
-    return 2.0 * float(ws @ (1.0 / np.sqrt(1.0 - xs * xs) - 1.0 / T))

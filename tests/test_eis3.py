@@ -263,10 +263,29 @@ class TestDirect:
         assert eis3._entry_dtype(128) == np.int16
         assert eis3._entry_dtype(200) == np.int16
 
-    def test_heights_30_vs_60_stable(self):
-        a = complex(sl3_eisenstein_direct(IDENTITY, 3.0, 2.0, 30, BIG))
-        b = complex(sl3_eisenstein_direct(IDENTITY, 3.0, 2.0, 60, BIG))
+    def test_heights_20_vs_40_stable(self):
+        a = complex(sl3_eisenstein_direct(IDENTITY, 3.0, 2.0, 20, BIG))
+        b = complex(sl3_eisenstein_direct(IDENTITY, 3.0, 2.0, 40, BIG))
         assert abs(a - b) / abs(b) < 1e-3
+
+    @pytest.mark.parametrize("height", [1, 2, 7, 12])
+    def test_estimate_is_gap_to_half_height_sum(self, height):
+        y = SL3Point(1.3, 0.8, 0.21, -0.35, 0.4)
+        value = sl3_eisenstein_direct(y, 2.2 + 0.5j, 1.7 - 0.3j, height, BIG)
+        if height == 1:
+            assert value.estimate == abs(value)
+            return
+        half = sl3_eisenstein_direct(y, 2.2 + 0.5j, 1.7 - 0.3j, height // 2, BIG)
+        gap = abs(complex(value) - complex(half))
+        assert abs(value.estimate - gap) <= 1e-12 * max(1.0, abs(value))
+
+    def test_requested_table_is_the_one_kept(self, monkeypatch):
+        # the half table is fetched first, so a cap below one table keeps
+        # the requested one
+        monkeypatch.setattr(eis3, "_TABLE_CACHE", OrderedDict())
+        monkeypatch.setattr(eis3, "_CACHE_BYTE_CAP", 1_000)
+        sl3_eisenstein_direct(IDENTITY, 3.0, 2.0, 6, BIG)
+        assert list(eis3._TABLE_CACHE) == [6]
 
 
 def _pair_rows(table):
@@ -276,6 +295,11 @@ def _pair_rows(table):
     return np.repeat(table.v, sizes, axis=0), table.w
 
 
+def _pair_heights(v, w):
+    """max(|v|_inf, |w|_inf) for every pair."""
+    return np.maximum(np.abs(v).max(axis=1), np.abs(w).max(axis=1))
+
+
 class TestCosetTable:
     @pytest.mark.parametrize("height", range(1, 9))
     def test_pairs_match_bruteforce(self, height):
@@ -283,7 +307,7 @@ class TestCosetTable:
         v, w = _pair_rows(table)
         got = {
             (tuple(a), tuple(b), h)
-            for a, b, h in zip(v.tolist(), w.tolist(), table.heights.tolist())
+            for a, b, h in zip(v.tolist(), w.tolist(), _pair_heights(v, w).tolist())
         }
         assert len(got) == len(w)
         assert len(np.unique(table.v, axis=0)) == len(table.v)
@@ -299,7 +323,8 @@ class TestCosetTable:
         # they give all 48, and -I fixes every canonical row
         table = _coset_table(10, BIG)
         v, w = (rows.astype(np.int64) for rows in _pair_rows(table))
-        expected = _pair_keys(v, w, table.heights, 10)
+        heights = _pair_heights(v, w)
+        expected = _pair_keys(v, w, heights, 10)
         rotations = [
             np.eye(3, dtype=np.int64)[list(p)] * np.array(s)
             for p in permutations(range(3))
@@ -308,7 +333,7 @@ class TestCosetTable:
         rotations = [m for m in rotations if round(np.linalg.det(m)) == 1]
         assert len(rotations) == 24
         for m in rotations:
-            got = _pair_keys(_canonical(v @ m), _canonical(w @ m), table.heights, 10)
+            got = _pair_keys(_canonical(v @ m), _canonical(w @ m), heights, 10)
             assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("chunk", [4096, eis3._SUM_CHUNK])
@@ -324,14 +349,21 @@ class TestCosetTable:
         node[0, 2], node[1, 2] = 0.3, 0.8
         r, g = y.matrix(), SL3Point(1.3, 0.8, 0.21, -0.35, 0.4).matrix()
         forms = np.stack([np.eye(3), g @ g.T, node @ r @ r.T @ node.T])
-        full, half = eis3._table_sums(table, forms, complex(s), complex(t), 4)
+        full = eis3._table_sums(table, forms, complex(s), complex(t))
+        # the height-4 table is the pairs of the height-8 table of height <= 4
+        half = eis3._table_sums(_coset_table(4, BIG), forms, complex(s), complex(t))
         assert full.shape == half.shape == (3,)
+        v, w = _pair_rows(table)
         for k, w_form in enumerate(forms):
-            terms = _pair_terms(*_pair_rows(table), w_form, s, t)
+            terms = _pair_terms(v, w, w_form, s, t)
             assert abs(full[k] - terms.sum()) <= 1e-13 * abs(terms.sum())
-            expected = terms[table.heights <= 4].sum()
+            expected = terms[_pair_heights(v, w) <= 4].sum()
             assert abs(half[k] - expected) <= 1e-13 * abs(expected)
-        assert not eis3._table_sums(table, forms, complex(s), complex(t), 0)[1].any()
+
+    def test_table_holds_only_the_pairs(self):
+        assert eis3._CosetTable._fields == ("v", "starts", "w")
+        table = _coset_table(20, BIG)
+        assert eis3._nbytes(table) == 3 * len(table.w) + 11 * len(table.v)
 
     @pytest.mark.parametrize("P", ["P0", "P1", "P2"])
     @pytest.mark.parametrize(

@@ -4,10 +4,10 @@ import math
 
 import pytest
 
+import oracles
 from latzeta.errors import ContourFailure, ConvergenceRegion, PoleProximity
 from latzeta.numerics import NumericsConfig, xi_completed
 from latzeta.zeta import (
-    _volume_quadrature,
     residue_at,
     volume_d_T,
     zeta_rank1_numeric,
@@ -109,8 +109,12 @@ class TestVolume:
         assert abs(volume_d_T(1.0) - (math.pi / 3.0 - 1.0)) < 1e-15
 
     def test_closed_form_vs_quadrature(self):
+        # twice the x in [0, 1/2] half of dx dy / y^2 over sqrt(1 - x^2) < y < T
         for T in (1.0, 1.5, 3.0, 10.0):
-            assert abs(volume_d_T(T) - _volume_quadrature(T)) < 1e-9
+            area = 2.0 * oracles.gl_panel(
+                lambda x: 1.0 / math.sqrt(1.0 - x * x) - 1.0 / T, 0.0, 0.5
+            )
+            assert abs(volume_d_T(T) - area) < 1e-9
 
     def test_residue_to_area_ratio(self):
         r = residue_at(zeta_rank2, 1.0)
